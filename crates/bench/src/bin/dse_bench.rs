@@ -388,7 +388,12 @@ fn main() {
         jit,
         store,
         bit_identical,
-        note: "Speedups are bounded by the measuring host's core count \
+        note: "Every figure times the bst workload only, so \
+               cycles_per_second is a proxy for simulator speed, not an \
+               end-to-end figure: the end-to-end benchmark is suitebench \
+               (BENCHMARK.json), whose sweep_cold workload simulates the \
+               whole suite. \
+               Speedups are bounded by the measuring host's core count \
                (host_threads); on a single-core host all worker counts \
                degenerate to serial throughput and the figures record \
                engine overhead, not scaling (worker_utilization shows \

@@ -35,7 +35,7 @@ use tia_isa::{
     alu, DstOperand, Instruction, IsaError, Op, Params, PredId, PredState, Program, SrcOperand,
     Word, NUM_SRCS,
 };
-use tia_jit::CompiledProgram;
+use tia_jit::{slot_indices, CompiledProgram, CompiledSlot};
 use tia_trace::{
     ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallClass,
     StallInsight, Tracer,
@@ -85,19 +85,24 @@ enum SlotStatus {
     NotReady,
 }
 
-/// Trigger-stage facts about one slot that never change after program
-/// load, precomputed so the per-cycle scan touches a flat array
-/// instead of chasing into the [`Instruction`].
-#[derive(Debug, Clone, Copy)]
-struct SlotGate {
-    /// The slot's valid bit.
-    valid: bool,
-    /// The trigger's predicate pattern.
-    pattern: tia_isa::PredPattern,
-    /// Every predicate bit the slot reads in its trigger or writes
-    /// (trigger-encoded update or datapath destination) — the §5.1
-    /// hazard footprint.
-    touched: u32,
+/// The in-flight pressure on one trigger scan, hoisted once per
+/// trigger phase from the in-flight slots' decoded facts (see
+/// [`UarchPe::hoist_pending`]) so that every slot's hazard and
+/// interlock checks are a mask test against its [`CompiledSlot`].
+/// Valid only during the trigger scan of the current cycle: neither
+/// `in_flight` nor any `d_done` flag changes between the hoist and the
+/// end of the scan.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pending {
+    /// Predicate bits with in-flight datapath writes.
+    preds: u32,
+    /// In-flight dequeues not yet executed, per input queue.
+    deq: [u8; 16],
+    /// In-flight enqueues not yet committed, per output queue.
+    enq: [u8; 16],
+    /// Registers written by an instruction issued last cycle, which a
+    /// split-ALU (X1|X2) pipeline cannot yet forward to X1.
+    fresh_writes: u64,
 }
 
 /// One slot's memoized trigger-readiness (§5.4 fast path): the status
@@ -202,8 +207,9 @@ impl ScanMemo {
 pub struct UarchPe<T: Tracer = NullTracer> {
     params: Params,
     config: UarchConfig,
-    /// The interned program: shared, immutable, borrowed on the hot
-    /// path instead of cloning `Instruction`s per cycle.
+    /// The interned program. Shared so cloning a PE does not copy it;
+    /// the cycle loop borrows it field-wise next to the mutable state,
+    /// never through a cloned handle.
     program: Arc<Program>,
     regs: Vec<Word>,
     preds: PredState,
@@ -220,8 +226,6 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     trace: Option<Vec<u16>>,
     pe_id: u16,
     tracer: T,
-    /// Per-slot static trigger facts (see [`SlotGate`]).
-    slot_gates: Vec<SlotGate>,
     /// Per-slot memoized readiness (see [`SlotCacheEntry`]).
     slot_cache: Vec<SlotCacheEntry>,
     /// Generation counter over every queue-or-pipeline-visible state:
@@ -245,25 +249,21 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     /// ([`ProcessingElement::next_event_cycle`]) keys on.
     /// Non-architectural: never snapshotted, cleared on restore.
     last_stall: Option<CycleClass>,
-    /// The program's guards compiled to flat masks and a
-    /// predicate-state dispatch table (see [`tia_jit`]). Shared,
-    /// immutable, derived-only: rebuilt at construction, never
-    /// snapshotted.
+    /// The program decoded once into the per-slot facts the trigger
+    /// scan consumes (guard masks, queue, register and predicate
+    /// footprints) plus the predicate-state dispatch table (see
+    /// [`tia_jit`]). Shared like `program`; derived-only: rebuilt at
+    /// construction, never snapshotted.
     compiled: Arc<CompiledProgram>,
-    /// Whether the compiled trigger engine drives the per-cycle scan
-    /// (`TIA_JIT`, default on; [`UarchPe::set_jit`]). Architecturally
-    /// transparent either way; debug builds cross-check every compiled
-    /// scan against the interpreted one.
+    /// Whether the dispatch table narrows the per-cycle scan and the
+    /// whole-scan memo is consulted (`TIA_JIT`, default on;
+    /// [`UarchPe::set_jit`]). Architecturally transparent either way;
+    /// debug builds cross-check both against a full scan.
     jit_enabled: bool,
     /// The whole-scan stall memo (see [`ScanMemo`]). Derived-only.
     scan_memo: ScanMemo,
-    /// Per-input-queue in-flight dequeues not yet executed, hoisted
-    /// once per trigger phase instead of recounted per slot. Valid
-    /// only during the trigger scan of the current cycle.
-    pending_deq: [u8; 16],
-    /// Per-output-queue in-flight enqueues not yet committed, hoisted
-    /// once per trigger phase. Valid only during the trigger scan.
-    pending_enq: [u8; 16],
+    /// The hoisted in-flight pressure (see [`Pending`]).
+    pending: Pending,
 }
 
 impl UarchPe {
@@ -294,16 +294,7 @@ impl<T: Tracer> UarchPe<T> {
     ) -> Result<Self, IsaError> {
         params.validate()?;
         program.validate(params)?;
-        let slot_gates: Vec<SlotGate> = program
-            .instructions()
-            .iter()
-            .map(|i| SlotGate {
-                valid: i.valid,
-                pattern: i.trigger.predicates,
-                touched: i.trigger.predicates.read_set() | i.predicate_write_set(),
-            })
-            .collect();
-        let slot_cache = vec![SlotCacheEntry::invalid(); slot_gates.len()];
+        let slot_cache = vec![SlotCacheEntry::invalid(); program.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program, params));
         Ok(UarchPe {
             regs: vec![0; params.num_regs],
@@ -339,7 +330,6 @@ impl<T: Tracer> UarchPe<T> {
             params: params.clone(),
             config,
             program: Arc::new(program),
-            slot_gates,
             slot_cache,
             queue_epoch: 0,
             queue_fingerprint: 0,
@@ -348,8 +338,7 @@ impl<T: Tracer> UarchPe<T> {
             compiled,
             jit_enabled: tia_jit::jit_from_env(),
             scan_memo: ScanMemo::invalid(),
-            pending_deq: [0; 16],
-            pending_enq: [0; 16],
+            pending: Pending::default(),
         })
     }
 
@@ -365,13 +354,13 @@ impl<T: Tracer> UarchPe<T> {
         }
     }
 
-    /// Enables (or disables) the compiled trigger engine: the
-    /// predicate-state dispatch table and the whole-scan stall memo
-    /// (see [`tia_jit`]). On by default (`TIA_JIT=0` in the
-    /// environment disables it at construction). Architecturally
+    /// Enables (or disables) the predicate-state dispatch table and the
+    /// whole-scan stall memo (see [`tia_jit`]); the decoded per-slot
+    /// facts drive the scan either way. On by default (`TIA_JIT=0` in
+    /// the environment disables it at construction). Architecturally
     /// transparent either way — counters, traces and snapshots are
-    /// bit-identical, and debug builds cross-check every compiled scan
-    /// against the interpreted one.
+    /// bit-identical, and debug builds cross-check every narrowed scan
+    /// and memo hit against a full scan.
     pub fn set_jit(&mut self, enable: bool) {
         self.jit_enabled = enable;
         self.scan_memo = ScanMemo::invalid();
@@ -560,10 +549,9 @@ impl<T: Tracer> UarchPe<T> {
         }
         let flight = self.in_flight.remove(0);
         debug_assert_eq!(flight.spec_level, 0, "speculative head must resolve first");
-        // Borrow the instruction from a local handle on the interned
-        // program: `self` stays mutable, and nothing is cloned.
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[flight.slot];
+        // Borrowed through the `program` field alone: every other
+        // field stays mutable below.
+        let instruction = &self.program.instructions()[flight.slot];
 
         // Operand values: registers read with full forwarding are
         // equivalent to reading the committed register file here,
@@ -730,15 +718,14 @@ impl<T: Tracer> UarchPe<T> {
         let Some(idx) = self
             .in_flight
             .iter()
-            .position(|f| self.instruction(f.slot).writes_predicate())
+            .position(|f| self.compiled.slot(f.slot).pred_dst.is_some())
         else {
             return;
         };
         if self.in_flight[idx].issue_cycle + x_end != self.now {
             return;
         }
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[self.in_flight[idx].slot];
+        let instruction = self.instruction(self.in_flight[idx].slot);
         if instruction.op.is_scratchpad() {
             // A scratchpad access cannot resolve early in this model.
             return;
@@ -797,17 +784,17 @@ impl<T: Tracer> UarchPe<T> {
     /// the instruction reaching its decode stage this cycle.
     fn decode_phase(&mut self) {
         let d_off = self.config.pipeline.d_offset();
-        let program = Arc::clone(&self.program);
         for idx in 0..self.in_flight.len() {
             if self.in_flight[idx].d_done || self.in_flight[idx].issue_cycle + d_off != self.now {
                 continue;
             }
-            let slot = self.in_flight[idx].slot;
-            self.run_decode(idx, &program.instructions()[slot]);
+            self.run_decode(idx);
         }
     }
 
-    fn run_decode(&mut self, idx: usize, instruction: &Instruction) {
+    /// Decode work for in-flight entry `idx`.
+    fn run_decode(&mut self, idx: usize) {
+        let instruction = &self.program.instructions()[self.in_flight[idx].slot];
         // Capture queue operands (peek) before this instruction's own
         // dequeues pop them.
         let mut captured = [None; NUM_SRCS];
@@ -850,80 +837,50 @@ impl<T: Tracer> UarchPe<T> {
         self.in_flight[idx].d_done = true;
     }
 
-    /// Recounts the in-flight dequeue/enqueue pressure into the
-    /// per-queue arrays, once per trigger phase. The trigger scan used
-    /// to walk `in_flight` per slot per queue; hoisting turns every
-    /// [`Self::pending_dequeues`] call into an array read. Sound
-    /// because the scan is the only consumer and neither `in_flight`
-    /// nor any `d_done` flag changes between the hoist and the end of
-    /// the scan (decode and commit run in later phases).
+    /// Hoists the in-flight pressure into [`Pending`], once per trigger
+    /// phase, from the in-flight slots' decoded facts.
     fn hoist_pending(&mut self) {
-        let mut deq = [0u8; 16];
-        let mut enq = [0u8; 16];
+        let mut pending = Pending::default();
         for f in &self.in_flight {
-            let instruction = &self.program.instructions()[f.slot];
+            let c = self.compiled.slot(f.slot);
             if !f.d_done {
-                for q in &instruction.dequeues {
-                    deq[q.index()] += 1;
+                for q in slot_indices(c.deq_mask.into()) {
+                    pending.deq[q] += 1;
                 }
             }
-            if let Some(q) = instruction.enqueues() {
-                enq[q.index()] += 1;
+            if let Some(q) = c.out_queue {
+                pending.enq[q as usize] += 1;
+            }
+            if let Some(p) = c.pred_dst {
+                pending.preds |= 1 << p;
+            }
+            // Only split-ALU pipelines interlock: a producer issued
+            // last cycle has not finished X2, so its result cannot be
+            // forwarded to a consumer entering X1 this cycle.
+            if self.config.pipeline.split_x && f.issue_cycle + 1 == self.now {
+                if let Some(r) = c.reg_write {
+                    pending.fresh_writes |= 1 << r;
+                }
             }
         }
-        self.pending_deq = deq;
-        self.pending_enq = enq;
+        self.pending = pending;
     }
 
-    /// In-flight dequeues not yet executed, per input queue (hoisted —
-    /// see [`Self::hoist_pending`]).
-    fn pending_dequeues(&self, queue: usize) -> usize {
-        self.pending_deq[queue] as usize
-    }
-
-    /// In-flight enqueues not yet committed, per output queue (hoisted
-    /// — see [`Self::hoist_pending`]).
-    fn pending_enqueues(&self, queue: usize) -> usize {
-        self.pending_enq[queue] as usize
-    }
-
-    /// Predicate bits with in-flight datapath writes.
-    fn pending_predicates(&self) -> u32 {
-        self.in_flight
-            .iter()
-            .filter_map(|f| self.instruction(f.slot).dst.predicate())
-            .fold(0, |acc, p| acc | (1 << p.index()))
-    }
-
-    /// Evaluates the §5.3 queue-side trigger conditions for one
-    /// instruction: input availability, tag checks, dequeue
-    /// availability, output capacity. Returns `(conservative,
-    /// effective)` eligibility — the scheduler uses the first without
-    /// +Q and the second with it; comparing them classifies
-    /// conservative stalls.
-    fn queue_conditions(&self, instruction: &Instruction) -> (bool, bool) {
+    /// Evaluates the §5.3 queue-side trigger conditions for one slot:
+    /// input availability, tag checks, dequeue availability, output
+    /// capacity. Returns `(conservative, effective)` eligibility — the
+    /// scheduler uses the first without +Q and the second with it;
+    /// comparing them classifies conservative stalls.
+    fn queue_conditions(&self, c: &CompiledSlot) -> (bool, bool) {
         let mut conservative = true;
         let mut effective = true;
 
         // A queue read (operand or dequeue) needs an available token.
-        // Queue indices are bounded at 16 (`Params::validate`), so a
-        // word of bits dedups the read set without allocating.
-        let mut need_mask: u32 = 0;
-        for q in instruction.input_operands() {
-            need_mask |= 1 << q.index();
-        }
-        for q in &instruction.dequeues {
-            need_mask |= 1 << q.index();
-        }
-        while need_mask != 0 {
-            let q = need_mask.trailing_zeros() as usize;
-            need_mask &= need_mask - 1;
+        for q in slot_indices(c.need_mask.into()) {
             let occupancy = self.inputs[q].occupancy();
-            let pending = self.pending_dequeues(q);
-            if pending > 0 {
+            let pending = self.pending.deq[q] as usize;
+            if pending > 0 || occupancy == 0 {
                 conservative = false; // pending dequeue ⇒ treat empty
-            } else if occupancy == 0 {
-                conservative = false;
             }
             if occupancy <= pending {
                 effective = false;
@@ -932,14 +889,13 @@ impl<T: Tracer> UarchPe<T> {
 
         // Tag checks peek past in-flight dequeues with +Q ("the head
         // and neck").
-        for check in &instruction.trigger.queue_checks {
-            let q = check.queue.index();
-            let pending = self.pending_dequeues(q);
+        for check in &c.checks {
+            let q = check.queue as usize;
+            let pending = self.pending.deq[q] as usize;
             // Conservative view: only a pending-free head counts.
             match self.inputs[q].peek() {
                 Some(head) if pending == 0 => {
-                    let equal = head.tag == check.tag;
-                    if equal == check.negate {
+                    if (head.tag == check.tag) == check.negate {
                         conservative = false;
                     }
                 }
@@ -947,8 +903,7 @@ impl<T: Tracer> UarchPe<T> {
             }
             match self.inputs[q].peek_at(pending) {
                 Some(tok) => {
-                    let equal = tok.tag == check.tag;
-                    if equal == check.negate {
+                    if (tok.tag == check.tag) == check.negate {
                         effective = false;
                     }
                 }
@@ -957,27 +912,26 @@ impl<T: Tracer> UarchPe<T> {
         }
 
         // Output capacity.
-        if let Some(q) = instruction.enqueues() {
-            let q = q.index();
+        if let Some(q) = c.out_queue {
+            let q = q as usize;
             let occupancy = self.outputs[q].occupancy();
-            let pending = self.pending_enqueues(q);
+            let capacity = self.outputs[q].capacity();
             if self.config.padded_output_queues {
                 // The reserve slots absorb every in-flight enqueue, so
                 // the scheduler checks only the visible capacity and
                 // ignores in-flight enqueues entirely: admitting at
                 // occupancy <= visible-1 with <= depth in flight can
                 // never exceed visible-1+depth < physical capacity.
-                let _ = pending;
-                let visible = self.outputs[q].capacity() - self.config.pipeline.depth();
-                if occupancy >= visible {
+                if occupancy >= capacity - self.config.pipeline.depth() {
                     conservative = false;
                     effective = false;
                 }
             } else {
-                if pending > 0 || occupancy >= self.outputs[q].capacity() {
+                let pending = self.pending.enq[q] as usize;
+                if pending > 0 || occupancy >= capacity {
                     conservative = false; // pending enqueue ⇒ treat full
                 }
-                if occupancy + pending >= self.outputs[q].capacity() {
+                if occupancy + pending >= capacity {
                     effective = false;
                 }
             }
@@ -986,21 +940,10 @@ impl<T: Tracer> UarchPe<T> {
         (conservative, effective)
     }
 
-    /// Whether the register interlock blocks this instruction from
-    /// issuing now. Only split-ALU pipelines ever stall: a producer
-    /// issued last cycle has not finished X2, so its result cannot be
-    /// forwarded to a consumer entering X1 this cycle.
-    fn register_interlock(&self, instruction: &Instruction) -> bool {
-        if !self.config.pipeline.split_x {
-            return false;
-        }
-        self.in_flight.iter().any(|f| {
-            f.issue_cycle + 1 == self.now
-                && self
-                    .instruction(f.slot)
-                    .register_write()
-                    .is_some_and(|w| instruction.register_reads().any(|r| r == w))
-        })
+    /// Whether the register interlock blocks this slot from issuing
+    /// now (see [`Pending::fresh_writes`]).
+    fn register_interlock(&self, c: &CompiledSlot) -> bool {
+        c.reg_reads & self.pending.fresh_writes != 0
     }
 
     /// Evaluates one instruction slot's issue status against current
@@ -1008,12 +951,12 @@ impl<T: Tracer> UarchPe<T> {
     /// the predicate gate passes. Returns the status and whether that
     /// queue-side state was consulted (the dirty-tracking class of the
     /// result — see [`SlotCacheEntry`]).
-    fn compute_slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, bool) {
-        let gate = self.slot_gates[slot];
-        if !gate.valid {
+    fn compute_slot_status(&self, slot: usize) -> (SlotStatus, bool) {
+        let c = self.compiled.slot(slot);
+        if !c.valid {
             return (SlotStatus::NotReady, false);
         }
-        let pattern = gate.pattern;
+        let pending_preds = self.pending.preds;
 
         // Predicate readiness.
         let pred_blocked = if self.config.predicate_prediction {
@@ -1021,14 +964,14 @@ impl<T: Tracer> UarchPe<T> {
             // become forbidden-instruction restrictions instead.
             false
         } else {
-            gate.touched & pending_preds != 0
+            c.touched & pending_preds != 0
         };
 
         if pred_blocked {
             // Would the pattern match, for every possible resolution
             // of the pending bits?
-            let stable_on = pattern.on_set() & !pending_preds;
-            let stable_off = pattern.off_set() & !pending_preds;
+            let stable_on = c.on_set & !pending_preds;
+            let stable_off = c.off_set & !pending_preds;
             let stable_match = (self.preds.bits() & stable_on) == stable_on
                 && (self.preds.bits() & stable_off) == 0;
             if !stable_match {
@@ -1036,34 +979,35 @@ impl<T: Tracer> UarchPe<T> {
             }
             // Count it as a predicate hazard only if the rest of the
             // trigger could plausibly fire once the bits resolve.
-            let instruction = self.instruction(slot);
-            let (_, queue_effective) = self.queue_conditions(instruction);
-            let status = if queue_effective && !self.register_interlock(instruction) {
+            let (_, queue_effective) = self.queue_conditions(c);
+            let status = if queue_effective && !self.register_interlock(c) {
                 SlotStatus::BlockedPred
             } else {
                 SlotStatus::NotReady
             };
             return (status, true);
         }
-        if !pattern.matches(self.preds) {
+        if !c.pred_matches(self.preds.bits()) {
             return (SlotStatus::NotReady, false);
         }
 
-        let instruction = self.instruction(slot);
-        let (queue_conservative, queue_effective) = self.queue_conditions(instruction);
+        let (queue_conservative, queue_effective) = self.queue_conditions(c);
         let queue_ok = if self.config.effective_queue_status {
             queue_effective
         } else {
             queue_conservative
         };
-        let data_blocked = self.register_interlock(instruction);
+        let data_blocked = self.register_interlock(c);
         // §5.2 restrictions while speculating: pre-retirement side
         // effects (dequeues) always; further predicate writers only
         // when the speculation stack is at its depth limit (the paper
         // has depth 1 — no nesting; §6 relaxes it). The rule itself is
         // shared with the static analyzer (`tia-lint`).
-        let forbidden =
-            crate::spec_rules::forbidden(instruction, &self.config, self.spec_stack.len());
+        let forbidden = crate::spec_rules::forbidden(
+            self.instruction(slot),
+            &self.config,
+            self.spec_stack.len(),
+        );
 
         if forbidden {
             let status = if queue_effective && !data_blocked {
@@ -1093,17 +1037,18 @@ impl<T: Tracer> UarchPe<T> {
     /// unchanged, otherwise re-evaluate and refresh the cache. In
     /// debug builds every cache hit is cross-checked against full
     /// re-evaluation.
-    fn slot_status_fast(&mut self, slot: usize, pending_preds: u32) -> SlotStatus {
+    fn slot_status_fast(&mut self, slot: usize) -> SlotStatus {
+        let pending_masked = self.pending.preds & self.compiled.slot(slot).touched;
         if self.trigger_cache_enabled {
             let entry = self.slot_cache[slot];
             if entry.valid
                 && entry.preds_bits == self.preds.bits()
-                && entry.pending_masked == (pending_preds & self.slot_gates[slot].touched)
+                && entry.pending_masked == pending_masked
                 && (!entry.queue_dependent || entry.queue_epoch == self.queue_epoch)
             {
                 #[cfg(debug_assertions)]
                 {
-                    let (fresh, _) = self.compute_slot_status(slot, pending_preds);
+                    let (fresh, _) = self.compute_slot_status(slot);
                     debug_assert_eq!(
                         fresh, entry.status,
                         "trigger fast path diverges from full re-evaluation at slot {slot}"
@@ -1112,7 +1057,7 @@ impl<T: Tracer> UarchPe<T> {
                 return entry.status;
             }
         }
-        let (status, queue_dependent) = self.compute_slot_status(slot, pending_preds);
+        let (status, queue_dependent) = self.compute_slot_status(slot);
         // A queue-dependent entry cannot hit while work is in flight —
         // the epoch is bumped at the end of every busy cycle — so
         // storing one would be pure overhead on a saturated PE.
@@ -1120,7 +1065,7 @@ impl<T: Tracer> UarchPe<T> {
             self.slot_cache[slot] = SlotCacheEntry {
                 status,
                 preds_bits: self.preds.bits(),
-                pending_masked: pending_preds & self.slot_gates[slot].touched,
+                pending_masked,
                 queue_epoch: self.queue_epoch,
                 queue_dependent,
                 valid: true,
@@ -1161,13 +1106,14 @@ impl<T: Tracer> UarchPe<T> {
         }
     }
 
-    /// Scans the given slots in order, issuing the first eligible one;
-    /// classifies the cycle otherwise. Both the interpreted full scan
-    /// and the dispatch-table candidate scan funnel through here.
-    fn scan_slots(&mut self, slots: impl Iterator<Item = usize>, pending_preds: u32) -> CycleClass {
+    /// Scans the slots in the bitmask `slots` in program order, issuing
+    /// the first eligible one; classifies the cycle otherwise. Both the
+    /// full scan and the dispatch-table candidate scan funnel through
+    /// here.
+    fn scan_slots(&mut self, slots: u64) -> CycleClass {
         let mut best_rank = 0u8;
-        for slot in slots {
-            let status = self.slot_status_fast(slot, pending_preds);
+        for slot in slot_indices(slots) {
+            let status = self.slot_status_fast(slot);
             if status == SlotStatus::Eligible {
                 self.issue(slot);
                 return CycleClass::Issued;
@@ -1177,14 +1123,15 @@ impl<T: Tracer> UarchPe<T> {
         Self::rank_class(best_rank)
     }
 
-    /// Side-effect-free full interpreted scan, for debug cross-checks
-    /// of the compiled paths: the slot that would issue (if any) and
-    /// the best stall rank among the slots before it.
+    /// Side-effect-free full scan over every slot, for debug
+    /// cross-checks of the dispatch table and the memos: the slot that
+    /// would issue (if any) and the best stall rank among the slots
+    /// before it.
     #[cfg(debug_assertions)]
-    fn debug_reference_scan(&self, pending_preds: u32) -> (Option<usize>, u8) {
+    fn debug_reference_scan(&self) -> (Option<usize>, u8) {
         let mut best_rank = 0u8;
         for slot in 0..self.program.len() {
-            let (status, _) = self.compute_slot_status(slot, pending_preds);
+            let (status, _) = self.compute_slot_status(slot);
             if status == SlotStatus::Eligible {
                 return (Some(slot), best_rank);
             }
@@ -1203,8 +1150,6 @@ impl<T: Tracer> UarchPe<T> {
             self.try_early_confirmation();
         }
         self.refresh_queue_epoch();
-        self.hoist_pending();
-        let pending_preds = self.pending_predicates();
 
         // Whole-scan stall memo: with an empty pipeline the scan is a
         // pure function of (predicate state, queue epoch) — every busy
@@ -1221,7 +1166,8 @@ impl<T: Tracer> UarchPe<T> {
         {
             #[cfg(debug_assertions)]
             {
-                let (slot, rank) = self.debug_reference_scan(pending_preds);
+                self.hoist_pending();
+                let (slot, rank) = self.debug_reference_scan();
                 debug_assert_eq!(slot, None, "memoized stall would now issue slot {slot:?}");
                 debug_assert_eq!(
                     Self::rank_class(rank),
@@ -1231,6 +1177,7 @@ impl<T: Tracer> UarchPe<T> {
             }
             return self.scan_memo.class;
         }
+        self.hoist_pending();
 
         // Dispatch-table candidate scan: skip slots whose predicate
         // pattern cannot match the current state. The skip is exact —
@@ -1240,24 +1187,19 @@ impl<T: Tracer> UarchPe<T> {
         // unit always supplies a value and `BlockedPred` cannot
         // arise), a pattern-mismatched slot is `NotReady` (rank 0)
         // either way. Otherwise `BlockedPred` needs the stable-bit
-        // analysis over *all* slots, so fall back to the full scan.
-        let compiled = Arc::clone(&self.compiled);
-        let candidates =
-            if self.jit_enabled && (pending_preds == 0 || self.config.predicate_prediction) {
-                compiled.candidates(self.preds)
-            } else {
-                None
-            };
+        // analysis over *all* slots, so scan every valid slot.
+        let narrowed =
+            self.jit_enabled && (self.pending.preds == 0 || self.config.predicate_prediction);
+        let slots = if narrowed {
+            self.compiled.candidates(self.preds)
+        } else {
+            self.compiled.valid_slots()
+        };
 
         #[cfg(debug_assertions)]
-        let reference = candidates
-            .is_some()
-            .then(|| self.debug_reference_scan(pending_preds));
+        let reference = narrowed.then(|| self.debug_reference_scan());
 
-        let class = match candidates {
-            Some(slots) => self.scan_slots(slots.iter().map(|&s| s as usize), pending_preds),
-            None => self.scan_slots(0..self.program.len(), pending_preds),
-        };
+        let class = self.scan_slots(slots);
 
         #[cfg(debug_assertions)]
         if let Some((slot, rank)) = reference {
@@ -1265,7 +1207,7 @@ impl<T: Tracer> UarchPe<T> {
                 debug_assert_eq!(
                     slot,
                     self.in_flight.last().map(|f| f.slot),
-                    "dispatch table issued a different slot than the interpreter"
+                    "dispatch table issued a different slot than the full scan"
                 );
             } else {
                 debug_assert_eq!(slot, None, "dispatch table missed an eligible slot");
@@ -1289,8 +1231,7 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     fn issue(&mut self, slot: usize) {
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[slot];
+        let instruction = &self.program.instructions()[slot];
         let spec_level = self.spec_stack.len();
         if T::ENABLED {
             self.tracer.emit(
@@ -1344,8 +1285,7 @@ impl<T: Tracer> UarchPe<T> {
         // Merged trigger/decode stages do decode work in the issue
         // cycle.
         if self.config.pipeline.d_offset() == 0 {
-            let idx = self.in_flight.len() - 1;
-            self.run_decode(idx, instruction);
+            self.run_decode(self.in_flight.len() - 1);
         }
     }
 
@@ -1721,29 +1661,20 @@ impl<T: Tracer> ProfileSource for UarchPe<T> {
         // empty pipeline, so raw occupancy/fullness (no in-flight
         // adjustments) is exact in every case that matters.
         let mut insight = StallInsight::default();
-        for (slot, gate) in self.slot_gates.iter().enumerate() {
-            if !gate.valid || !gate.pattern.matches(self.preds) {
-                continue;
-            }
+        for slot in slot_indices(self.compiled.candidates(self.preds)) {
             insight.matched_any = true;
-            let instruction = self.instruction(slot);
-            for q in instruction.input_operands() {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
+            let c = self.compiled.slot(slot);
+            let reads = c
+                .checks
+                .iter()
+                .fold(c.need_mask, |reads, check| reads | 1 << check.queue);
+            for q in slot_indices(reads.into()) {
+                if self.inputs[q].is_empty() {
+                    insight.empty_input_mask |= 1 << q;
                 }
             }
-            for q in &instruction.dequeues {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
-                }
-            }
-            for check in &instruction.trigger.queue_checks {
-                if self.inputs[check.queue.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << check.queue.index();
-                }
-            }
-            if let Some(q) = instruction.enqueues() {
-                let q = q.index();
+            if let Some(q) = c.out_queue {
+                let q = q as usize;
                 let visible = if self.config.padded_output_queues {
                     self.outputs[q].capacity() - self.config.pipeline.depth()
                 } else {

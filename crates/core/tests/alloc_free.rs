@@ -4,10 +4,12 @@
 //! counting global allocator is armed around the measured region;
 //! warm-up cycles beforehand let one-time growth (queue backing
 //! stores, speculation stack, predictor tables) happen where it
-//! belongs: at construction and first use, not per cycle.
+//! belongs: at construction and first use, not per cycle. Arming and
+//! counting are per thread, so tests running in parallel never count
+//! each other's set-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tia_asm::assemble;
 use tia_core::{Pipeline, UarchConfig, UarchPe};
@@ -17,14 +19,20 @@ use tia_sim::FuncPe;
 
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -33,9 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,14 +49,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Runs `f` with allocation counting armed and returns how many heap
-/// allocations it performed.
+/// Runs `f` with allocation counting armed on this thread and returns
+/// how many heap allocations it performed.
 fn allocations_during<F: FnOnce()>(f: F) -> u64 {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
     f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ARMED.with(|a| a.set(false));
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn uarch_pe(config: UarchConfig, source: &str) -> UarchPe {

@@ -812,18 +812,24 @@ impl<P: ProcessingElement> System<P> {
         F: FnMut(&System<P>) -> bool,
     {
         let end = self.cycle.saturating_add(max_cycles);
+        // The retirement total after the previous cycle, carried over so
+        // each stepped cycle folds over the PEs once. Skipped spans are
+        // inert, so they never change it.
+        let mut retired = self.fast_forward.then(|| self.total_retired());
         while self.cycle < end {
+            self.step();
+            if condition(self) {
+                return StopReason::Condition;
+            }
             // Probing the idle horizon costs a scan over every link and
             // component, so only pay for it after a cycle that retired
             // nothing — a retiring fabric is self-evidently not inert,
             // and skipping the probe there makes fast-forwarding free
             // on compute-dense runs.
-            let retired_before = self.fast_forward.then(|| self.total_retired());
-            self.step();
-            if condition(self) {
-                return StopReason::Condition;
-            }
-            if retired_before == Some(self.total_retired()) {
+            let Some(before) = retired else { continue };
+            let after = self.total_retired();
+            retired = Some(after);
+            if before == after {
                 // Exponential backoff after consecutive unproductive
                 // probes (see `probe_cooldown`): suppressed probes just
                 // step normally, which is bit-identical.

@@ -12,16 +12,23 @@
 //!   one `&`/`==` each against the packed predicate state;
 //! * per-trigger queue/tag guards are lowered to direct channel-slot
 //!   checks over a dense read-set bitmask and a fixed check list;
+//! * the facts a pipelined scheduler reads per slot — register reads
+//!   and write, datapath predicate destination, the §5.1 hazard
+//!   footprint — are lowered to masks and small indices too, so a
+//!   trigger scan never walks an [`tia_isa::Instruction`];
 //! * the per-cycle trigger scan is replaced by a **dispatch table**
 //!   indexed by the packed predicate state: for each of the
-//!   `2^num_preds` states, the program-order list of slots whose
-//!   pattern matches that state. A scan then touches only the slots
-//!   that could possibly fire under the current predicates — usually
-//!   one or two out of a whole program.
+//!   `2^num_preds` states, the bitmask of slots whose pattern matches
+//!   that state (programs hold at most 64 slots, so one `u64` each). A
+//!   scan then touches only the slots that could possibly fire under
+//!   the current predicates — usually one or two out of a whole
+//!   program — in program order, lowest bit first.
 //!
 //! The compiled form is *derived-only* state: simulators rebuild it
-//! from the program at construction, snapshots never contain it, and
-//! disabling it (`TIA_JIT=0`, [`jit_from_env`]) must be — and is
+//! from the program at construction and snapshots never contain it.
+//! The cycle-level PE reads its per-slot facts on every scan;
+//! `TIA_JIT=0` ([`jit_from_env`]) turns off only the dispatch table
+//! and the simulators' scan memos, which must be — and is
 //! differentially tested to be — bit-identical.
 
 #![warn(missing_docs)]
@@ -100,6 +107,16 @@ pub struct CompiledSlot {
     /// Input queues dequeued at execution, as a bitmask (exposed for
     /// schedulers that account in-flight dequeues).
     pub deq_mask: u32,
+    /// Registers read as operands, as a bitmask (`num_regs` ≤ 64).
+    pub reg_reads: u64,
+    /// The register written, if any.
+    pub reg_write: Option<u8>,
+    /// The datapath predicate destination, if any.
+    pub pred_dst: Option<u8>,
+    /// Every predicate bit the slot reads in its trigger or writes
+    /// (trigger-encoded update or datapath destination) — the §5.1
+    /// hazard footprint.
+    pub touched: u32,
 }
 
 impl CompiledSlot {
@@ -110,14 +127,17 @@ impl CompiledSlot {
     }
 }
 
-/// The dispatch table: for every packed predicate state, the
-/// program-order slot indices whose predicate pattern matches it,
-/// stored as one flat `Vec<u16>` with per-state offset ranges.
-#[derive(Debug, Clone)]
-struct DispatchTable {
-    /// `offsets[s]..offsets[s + 1]` indexes `slots` for state `s`.
-    offsets: Vec<u32>,
-    slots: Vec<u16>,
+/// The slot indices set in `mask`, lowest first — program order, which
+/// is the trigger priority order.
+#[inline]
+pub fn slot_indices(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slot
+        })
+    })
 }
 
 /// A trigger program compiled to straight-line guard evaluation.
@@ -129,7 +149,11 @@ struct DispatchTable {
 pub struct CompiledProgram {
     slots: Vec<CompiledSlot>,
     num_preds: usize,
-    table: Option<DispatchTable>,
+    /// The valid slots, as a bitmask.
+    valid: u64,
+    /// The dispatch table: for every packed predicate state, the
+    /// bitmask of valid slots whose predicate pattern matches it.
+    table: Option<Vec<u64>>,
 }
 
 impl CompiledProgram {
@@ -167,32 +191,25 @@ impl CompiledProgram {
                         .collect(),
                     out_queue: i.enqueues().map(|q| q.index() as u8),
                     deq_mask,
+                    reg_reads: i.register_reads().fold(0, |m, r| m | 1 << r.index()),
+                    reg_write: i.register_write().map(|r| r.index() as u8),
+                    pred_dst: i.dst.predicate().map(|p| p.index() as u8),
+                    touched: i.trigger.predicates.read_set() | i.predicate_write_set(),
                 }
             })
             .collect();
 
+        let valid = slot_mask(&slots, |c| c.valid);
         let table = (params.num_preds <= TABLE_PRED_LIMIT).then(|| {
-            let states = 1usize << params.num_preds;
-            let mut offsets = Vec::with_capacity(states + 1);
-            let mut flat = Vec::new();
-            offsets.push(0u32);
-            for state in 0..states as u32 {
-                for (slot, c) in slots.iter().enumerate() {
-                    if c.valid && c.pred_matches(state) {
-                        flat.push(slot as u16);
-                    }
-                }
-                offsets.push(flat.len() as u32);
-            }
-            DispatchTable {
-                offsets,
-                slots: flat,
-            }
+            (0..1u32 << params.num_preds)
+                .map(|state| slot_mask(&slots, |c| c.valid && c.pred_matches(state)))
+                .collect()
         });
 
         CompiledProgram {
             slots,
             num_preds: params.num_preds,
+            valid,
             table,
         }
     }
@@ -214,17 +231,31 @@ impl CompiledProgram {
         self.table.is_some()
     }
 
-    /// The program-order candidate slots for predicate state `preds`:
-    /// exactly the valid slots whose pattern matches. `None` when no
-    /// table was built (fall back to a full scan).
+    /// The valid slots, as a bitmask (iterate with [`slot_indices`]).
     #[inline]
-    pub fn candidates(&self, preds: PredState) -> Option<&[u16]> {
-        let table = self.table.as_ref()?;
-        let state = (preds.bits() & ((1u32 << self.num_preds) - 1)) as usize;
-        let lo = table.offsets[state] as usize;
-        let hi = table.offsets[state + 1] as usize;
-        Some(&table.slots[lo..hi])
+    pub fn valid_slots(&self) -> u64 {
+        self.valid
     }
+
+    /// The candidate slots for predicate state `preds`, as a bitmask:
+    /// exactly the valid slots whose pattern matches. One table load
+    /// when the table was built, otherwise a pass over the slots.
+    #[inline]
+    pub fn candidates(&self, preds: PredState) -> u64 {
+        match &self.table {
+            Some(table) => table[(preds.bits() & ((1u32 << self.num_preds) - 1)) as usize],
+            None => slot_mask(&self.slots, |c| c.valid && c.pred_matches(preds.bits())),
+        }
+    }
+}
+
+/// The bitmask of the slots satisfying `keep`.
+fn slot_mask(slots: &[CompiledSlot], keep: impl Fn(&CompiledSlot) -> bool) -> u64 {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| keep(c))
+        .fold(0, |mask, (slot, _)| mask | 1 << slot)
 }
 
 #[cfg(test)]
@@ -267,18 +298,15 @@ mod tests {
         assert!(compiled.has_table());
         for state in 0..1u32 << params.num_preds {
             let preds = PredState::from_bits(state);
-            let expected: Vec<u16> = program
+            let expected: Vec<usize> = program
                 .instructions()
                 .iter()
                 .enumerate()
                 .filter(|(_, i)| i.valid && i.trigger.predicates.matches(preds))
-                .map(|(slot, _)| slot as u16)
+                .map(|(slot, _)| slot)
                 .collect();
-            assert_eq!(
-                compiled.candidates(preds).expect("table built"),
-                expected.as_slice(),
-                "state {state:#010b}"
-            );
+            let got: Vec<usize> = slot_indices(compiled.candidates(preds)).collect();
+            assert_eq!(got, expected, "state {state:#010b}");
         }
     }
 
@@ -316,7 +344,11 @@ mod tests {
         let program = assemble(&format!("when %p == {}: halt;", "X".repeat(16)), &params).unwrap();
         let wide = CompiledProgram::compile(&program, &params);
         assert!(!wide.has_table(), "2^16 states exceeds the table gate");
-        assert!(wide.candidates(PredState::new()).is_none());
+        assert_eq!(
+            wide.candidates(PredState::new()),
+            1,
+            "without a table the candidates are computed per call"
+        );
     }
 
     #[test]

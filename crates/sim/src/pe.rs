@@ -12,10 +12,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize, Value};
 use tia_fabric::{ProcessingElement, QueueState, RestoreError, Snapshotable, TaggedQueue, Token};
 use tia_isa::{
-    alu, DstOperand, Instruction, IsaError, Op, Params, PredState, Program, SrcOperand, Word,
-    NUM_SRCS,
+    alu, DstOperand, IsaError, Op, Params, PredState, Program, SrcOperand, Word, NUM_SRCS,
 };
-use tia_jit::CompiledProgram;
+use tia_jit::{slot_indices, CompiledProgram};
 use tia_trace::{
     ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallClass,
     StallInsight, Tracer,
@@ -57,8 +56,9 @@ use crate::counters::FuncCounters;
 #[derive(Debug, Clone)]
 pub struct FuncPe<T: Tracer = NullTracer> {
     params: Params,
-    /// Shared so the hot loop can borrow an instruction without
-    /// cloning it while `&mut self` executes the datapath.
+    /// Shared so cloning a PE does not copy the program. The hot loop
+    /// borrows instructions through this field alone, never through a
+    /// cloned handle.
     program: Arc<Program>,
     regs: Vec<Word>,
     preds: PredState,
@@ -347,7 +347,7 @@ impl<T: Tracer> FuncPe<T> {
     /// has been touched since, so rescanning is provably futile), then
     /// the dispatch table narrows the scan to the slots whose
     /// predicate pattern matches the current state. Falls back to the
-    /// interpreted scan when disabled or when no table was built.
+    /// interpreted scan when disabled.
     fn triggered_slot_hot(&self) -> Option<usize> {
         if !self.jit_enabled {
             return self.triggered_slot();
@@ -360,12 +360,7 @@ impl<T: Tracer> FuncPe<T> {
             );
             return None;
         }
-        let Some(candidates) = self.compiled.candidates(self.preds) else {
-            return self.triggered_slot();
-        };
-        let slot = candidates
-            .iter()
-            .map(|&s| s as usize)
+        let slot = slot_indices(self.compiled.candidates(self.preds))
             .find(|&s| self.compiled_queue_ready(s));
         debug_assert_eq!(
             slot,
@@ -413,9 +408,7 @@ impl<T: Tracer> FuncPe<T> {
                 },
             );
         }
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[slot];
-        self.execute(instruction);
+        self.execute(slot);
         if T::ENABLED {
             self.tracer.emit(
                 self.pe_id,
@@ -429,14 +422,18 @@ impl<T: Tracer> FuncPe<T> {
         Some(slot)
     }
 
-    /// Executes one instruction with atomic semantics.
-    fn execute(&mut self, i: &Instruction) {
+    /// Executes the instruction in `slot` with atomic semantics. The
+    /// instruction is borrowed from the `program` field alone, so the
+    /// datapath below mutates every other field without cloning the
+    /// shared program handle.
+    fn execute(&mut self, slot: usize) {
+        let i = &self.program.instructions()[slot];
         // Operand read. A fixed-size array keeps the per-retirement
         // path allocation-free; unread operand slots stay 0, matching
         // the old `unwrap_or(0)` defaults.
         let mut operands = [0 as Word; NUM_SRCS];
-        for (slot, s) in i.srcs.iter().take(i.op.num_srcs()).enumerate() {
-            operands[slot] = self.read_operand(*s, i.imm);
+        for (k, s) in i.srcs.iter().take(i.op.num_srcs()).enumerate() {
+            operands[k] = self.read_operand(*s, i.imm);
         }
         let a = operands[0];
         let b = operands[1];

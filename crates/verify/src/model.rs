@@ -16,7 +16,7 @@
 
 use tia_fabric::{InputRef, Link, OutputRef};
 use tia_isa::{DstOperand, Op, Params, PredState, Program, Tag};
-use tia_jit::CompiledProgram;
+use tia_jit::{slot_indices, CompiledProgram};
 use tia_lint::{ReachAnalysis, MAX_EXHAUSTIVE_PREDS};
 
 use crate::VerifyOptions;
@@ -586,16 +586,8 @@ impl Model {
                 }
                 let model = &self.pes[pe];
                 let preds = PredState::from_bits(state.preds[pe]);
-                match model.compiled.candidates(preds) {
-                    Some(candidates) => candidates
-                        .iter()
-                        .map(|&s| s as usize)
-                        .find(|&s| self.queue_ready(pe, s, state)),
-                    None => (0..model.compiled.slots().len()).find(|&s| {
-                        let c = model.compiled.slot(s);
-                        c.valid && c.pred_matches(state.preds[pe]) && self.queue_ready(pe, s, state)
-                    }),
-                }
+                slot_indices(model.compiled.candidates(preds))
+                    .find(|&s| self.queue_ready(pe, s, state))
             })
             .collect()
     }

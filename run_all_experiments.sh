@@ -6,8 +6,8 @@
 # Each experiment writes results/<name>.txt (the human-readable table)
 # and results/logs/<name>.log (its stderr); binaries that support
 # `--json` also write results/<name>.json with the same data points in
-# machine-readable form. Per-experiment wall-clock times land in
-# results/suite_timing.json. Failures are reported per experiment and
+# machine-readable form. Per-experiment and total wall-clock times, in
+# milliseconds, land in results/suite_timing.json. Failures are reported per experiment and
 # the script exits non-zero if any experiment fails.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -70,7 +70,10 @@ BINS=(
     ablation_queue_capacity
 )
 
-suite_start=$SECONDS
+# now_ms: wall-clock milliseconds since the epoch (GNU date).
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+
+suite_start=$(now_ms)
 
 # run_experiment NAME OUTFILE CMD...: runs CMD with stdout captured to
 # OUTFILE and stderr to results/logs/NAME.log, reporting wall-clock
@@ -79,15 +82,16 @@ suite_start=$SECONDS
 run_experiment() {
     local name="$1" outfile="$2"
     shift 2
-    local start=$SECONDS status=0
+    local start status=0
+    start=$(now_ms)
     local log="results/logs/$name.log"
     "$@" > "$outfile" 2> "$log" || status=$?
-    local secs=$((SECONDS - start))
-    printf '%s %s\n' "$status" "$secs" > "$timing_dir/$name"
+    local ms=$(($(now_ms) - start))
+    printf '%s %s\n' "$status" "$ms" > "$timing_dir/$name"
     if ((status == 0)); then
-        echo "== $name (${secs}s)"
+        echo "== $name (${ms} ms)"
     else
-        echo "== $name FAILED (exit $status, ${secs}s; log: $log)" >&2
+        echo "== $name FAILED (exit $status, ${ms} ms; log: $log)" >&2
     fi
     return "$status"
 }
@@ -118,21 +122,21 @@ launch dump_workload_asm results/dump_workload_asm.txt \
     ./target/release/dump_workload_asm results/asm
 
 wait || true
-suite_secs=$((SECONDS - suite_start))
+suite_ms=$(($(now_ms) - suite_start))
 
 failures=()
 {
-    printf '{\n  "jobs": %s,\n  "total_seconds": %s,\n  "experiments": [\n' \
-        "$JOBS" "$suite_secs"
+    printf '{\n  "jobs": %s,\n  "total_ms": %s,\n  "experiments": [\n' \
+        "$JOBS" "$suite_ms"
     sep=""
     for name in "${names[@]}"; do
-        status=1 secs=0
+        status=1 ms=0
         if [[ -f "$timing_dir/$name" ]]; then
-            read -r status secs < "$timing_dir/$name"
+            read -r status ms < "$timing_dir/$name"
         fi
         ((status == 0)) || failures+=("$name")
-        printf '%s    {"name": "%s", "seconds": %s, "ok": %s}' \
-            "$sep" "$name" "$secs" "$([[ $status == 0 ]] && echo true || echo false)"
+        printf '%s    {"name": "%s", "ms": %s, "ok": %s}' \
+            "$sep" "$name" "$ms" "$([[ $status == 0 ]] && echo true || echo false)"
         sep=$',\n'
     done
     printf '\n  ]\n}\n'
@@ -142,4 +146,4 @@ if ((${#failures[@]} > 0)); then
     echo "FAILED experiments (${#failures[@]}): ${failures[*]}" >&2
     exit 1
 fi
-echo "all outputs in results/ (${suite_secs}s total, $JOBS jobs; timing in results/suite_timing.json)"
+echo "all outputs in results/ (${suite_ms} ms total, $JOBS jobs; timing in results/suite_timing.json)"
