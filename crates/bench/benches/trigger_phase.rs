@@ -1,16 +1,17 @@
 //! Criterion bench: trigger-stage cost per cycle as the static
-//! program grows, with the slot-readiness cache on (`cached`) and off
-//! (`full`), in the two steady states a fabric PE lives in:
+//! program grows, in the two steady states a fabric PE lives in:
 //!
 //! * `idle` — every slot waits on input-queue tokens that never
 //!   arrive (the dominant state of a PE awaiting fabric traffic).
-//!   Nothing issues, so queue state is provably unchanged between
-//!   cycles and every slot's readiness is served from the cache; the
-//!   `full` variant re-evaluates every queue condition every cycle.
+//!   Nothing issues and the pipeline stays empty, so after the first
+//!   cycle the whole-scan stall memo (`ScanMemo`) answers every cycle
+//!   without evaluating a slot; the cost should stay flat as slots
+//!   grow.
 //! * `busy` — one slot issues a perpetual counter every cycle while
-//!   the rest are rejected on predicates alone. Predicate-keyed cache
-//!   entries survive the issue traffic; this variant mostly checks
-//!   the cache is not a tax when the PE is saturated.
+//!   the rest are rejected on predicates alone. The memo cannot hit
+//!   with work in flight, so this measures the dispatch table's
+//!   narrowing: only the slots whose predicate pattern matches the
+//!   current state are evaluated.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tia_asm::assemble;
@@ -50,18 +51,15 @@ fn bench_trigger_phase(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("trigger_phase_{scenario}"));
         for slots in [1usize, 2, 4, 8, 16] {
             let program = assemble(&source_of(slots), &params).expect("bench program assembles");
-            for (label, cache) in [("cached", true), ("full", false)] {
-                let mut pe = UarchPe::new(&params, config, program.clone()).expect("PE builds");
-                pe.set_trigger_cache(cache);
-                group.bench_function(format!("{slots}slots_{label}"), |b| {
-                    b.iter(|| {
-                        for _ in 0..CYCLES_PER_ITER {
-                            pe.step_cycle();
-                        }
-                        pe.counters().cycles
-                    })
-                });
-            }
+            let mut pe = UarchPe::new(&params, config, program).expect("PE builds");
+            group.bench_function(format!("{slots}slots"), |b| {
+                b.iter(|| {
+                    for _ in 0..CYCLES_PER_ITER {
+                        pe.step_cycle();
+                    }
+                    pe.counters().cycles
+                })
+            });
         }
         group.finish();
     }

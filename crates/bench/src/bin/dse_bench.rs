@@ -39,10 +39,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tia_bench::{activity_of, run_uarch_workload, scale_from_args, scale_label};
+use tia_bench::{activity_of, open_store, run_uarch_workload, scale_from_args, scale_label};
 use tia_core::UarchConfig;
 use tia_energy::dse::{explore, par_explore_stats_with, par_explore_with};
-use tia_energy::{CheckpointedCpi, SweepContext};
+use tia_energy::SweepContext;
 use tia_workloads::WorkloadKind;
 
 #[derive(serde::Serialize)]
@@ -348,14 +348,13 @@ fn main() {
         std::env::temp_dir().join(format!("tia-dse-bench-{}.store", std::process::id()));
     let _ = std::fs::remove_file(&store_path);
     let ctx = SweepContext::new("bst", scale_label(scale));
-    let cold_src =
-        CheckpointedCpi::resume(&source, &store_path, ctx.clone()).expect("open bench store");
+    let cold_src = open_store(&source, &store_path, ctx.clone());
     let start = Instant::now();
     let cold_points = par_explore_with(1, &cold_src);
     let cold_seconds = start.elapsed().as_secs_f64();
     let cold_simulated = cold_src.misses();
     drop(cold_src);
-    let warm_src = CheckpointedCpi::resume(&source, &store_path, ctx).expect("reopen bench store");
+    let warm_src = open_store(&source, &store_path, ctx);
     let start = Instant::now();
     let warm_points = par_explore_with(1, &warm_src);
     let warm_seconds = start.elapsed().as_secs_f64();

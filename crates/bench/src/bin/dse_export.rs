@@ -15,9 +15,11 @@
 //! interrupted run resumes the same way — the store is append-only,
 //! so whatever completed before the interrupt is never re-simulated.
 //!
-//! `--partial PATH` is the historical spelling of `--store PATH` and
-//! still works; a pre-store JSON partial file found at `PATH` is moved
-//! aside and regenerated, never trusted.
+//! A stale file found at `PATH` (another schema version, or a
+//! pre-store JSON partial file) is moved aside and regenerated, never
+//! trusted. `--no-fast-forward` and `--no-jit` turn off the engines
+//! for A/B runs. Any other argument is an error: the process exits
+//! nonzero naming it instead of running a sweep it was not asked for.
 //!
 //! `--expect-warm` turns the run into a cache-integrity gate: the
 //! process exits nonzero if any point had to be simulated (CI runs a
@@ -25,15 +27,44 @@
 //! warm with byte-identical output).
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tia_bench::{scale_from_args, store_path_from_args, sweep_through_store};
 use tia_energy::pareto::pareto_frontier;
 
+/// Every flag this binary accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--test-scale", false),
+    ("--store", true),
+    ("-o", true),
+    ("--output", true),
+    ("--expect-warm", false),
+    ("--no-fast-forward", false),
+    ("--no-jit", false),
+];
+
+/// Checks `args` (without the program name) against [`FLAGS`].
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) if rest.next().is_none() => {
+                return Err(format!("`{arg}` needs a PATH argument"))
+            }
+            Some(_) => {}
+            None => return Err(format!("unrecognised argument `{arg}`")),
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
+    if let Err(message) = check_args(&args[1..]) {
+        eprintln!("dse_export: {message}");
+        return ExitCode::FAILURE;
+    }
+    let scale = scale_from_args();
     let flag_value = |flags: &[&str]| {
         args.iter()
             .position(|a| flags.contains(&a.as_str()))
@@ -41,11 +72,7 @@ fn main() -> ExitCode {
     };
     let output = flag_value(&["-o", "--output"]);
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    // `--partial` predates the store and keeps working as an alias;
-    // `store_path_from_args` handles `--store` and `TIA_STORE`.
-    let store = flag_value(&["--partial"])
-        .map(PathBuf::from)
-        .or_else(store_path_from_args);
+    let store = store_path_from_args();
 
     let points = match &store {
         Some(path) => {

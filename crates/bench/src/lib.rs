@@ -15,8 +15,8 @@ pub mod table;
 
 pub use jsonout::{json_out_from_args, write_json};
 pub use measure::{
-    activity_of, bst_activity_source, coarse_stack, run_uarch_workload, scale_from_args,
-    scale_label, store_path_from_args, suite_activity_source, suite_context, suite_design_points,
-    sweep_through_store, MeasuredRun,
+    activity_of, bst_activity_source, coarse_stack, open_store, run_uarch_workload,
+    scale_from_args, scale_label, store_path_from_args, suite_activity_source, suite_context,
+    suite_design_points, sweep_through_store, MeasuredRun,
 };
 pub use table::Table;

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use tia_core::{UarchConfig, UarchCounters, UarchPe};
 use tia_energy::dse::{par_explore, CpiMeasurement, DesignPoint};
-use tia_energy::{CheckpointedCpi, SweepContext};
+use tia_energy::{StoredCpi, SweepContext, SyncCpiSource};
 use tia_fabric::FastForwardStats;
 use tia_isa::Params;
 use tia_prof::{CycleStack, LeafShares};
@@ -208,14 +208,33 @@ pub fn store_path_from_args() -> Option<PathBuf> {
     }
 }
 
-/// Runs the suite-averaged sweep through the measurement store at
-/// `path`, returning the design points plus how many were answered
-/// from the store vs simulated. A stale store file at `path` is
-/// discarded and regenerated (see
+/// Wraps `source` over the measurement store at `path`. A stale
+/// file at `path` is moved to `<path>.stale` with a loud warning and
+/// its measurements are regenerated, never trusted (see
 /// [`tia_energy::open_measurement_store`]).
-pub fn sweep_through_store(scale: Scale, path: &Path) -> (Vec<DesignPoint>, u64, u64) {
-    let source = CheckpointedCpi::resume(suite_activity_source(scale), path, suite_context(scale))
+///
+/// # Panics
+///
+/// Panics on a file-system error.
+pub fn open_store<S: SyncCpiSource>(source: S, path: &Path, ctx: SweepContext) -> StoredCpi<S> {
+    let (stored, reset) = StoredCpi::open(source, path, ctx)
         .unwrap_or_else(|e| panic!("cannot open measurement store {}: {e}", path.display()));
+    if let Some(reason) = reset {
+        eprintln!(
+            "warning: discarding stale measurements at {} ({reason}); \
+             the old file was moved to {}.stale and the sweep re-simulates",
+            path.display(),
+            path.display()
+        );
+    }
+    stored
+}
+
+/// Runs the suite-averaged sweep through the measurement store at
+/// `path` (see [`open_store`]), returning the design points plus how
+/// many were answered from the store vs simulated.
+pub fn sweep_through_store(scale: Scale, path: &Path) -> (Vec<DesignPoint>, u64, u64) {
+    let source = open_store(suite_activity_source(scale), path, suite_context(scale));
     let points = par_explore(&source);
     eprintln!(
         "measurement store {}: {} point(s) answered from store, {} simulated",

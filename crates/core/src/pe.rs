@@ -105,51 +105,12 @@ struct Pending {
     fresh_writes: u64,
 }
 
-/// One slot's memoized trigger-readiness (§5.4 fast path): the status
-/// from the last evaluation plus the dirty-tracking keys that decide
-/// whether it is still current.
-///
-/// * The **predicate key** (`preds_bits`, `pending_masked`) captures
-///   everything a *predicate-rejected* slot read: the architectural
-///   predicate state and the in-flight predicate writes overlapping
-///   the slot's footprint. Most slots in a large trigger program fail
-///   here, so they are revalidated by two word compares — no queue or
-///   in-flight state is consulted.
-/// * Statuses that consulted queue occupancies, tag checks, in-flight
-///   accounting or the register interlock are `queue_dependent`: they
-///   additionally require the PE's [`UarchPe::queue_epoch`] to be
-///   unchanged, which holds only across cycles with an idle pipeline
-///   and no queue traffic (internal or from the fabric).
-#[derive(Debug, Clone, Copy)]
-struct SlotCacheEntry {
-    status: SlotStatus,
-    preds_bits: u32,
-    pending_masked: u32,
-    queue_epoch: u64,
-    queue_dependent: bool,
-    valid: bool,
-}
-
-impl SlotCacheEntry {
-    fn invalid() -> Self {
-        SlotCacheEntry {
-            status: SlotStatus::NotReady,
-            preds_bits: 0,
-            pending_masked: 0,
-            queue_epoch: 0,
-            queue_dependent: false,
-            valid: false,
-        }
-    }
-}
-
 /// A one-entry memo over the *whole* trigger scan: when the pipeline
 /// is empty, a stall outcome is a pure function of the predicate state
 /// and the queue epoch, so a repeat of both keys must repeat the same
-/// classified stall — no per-slot work at all. Subsumes the per-slot
-/// readiness cache on idle stretches (the common case in
-/// memory-latency-bound sweeps) while the per-slot cache still serves
-/// partial invalidations.
+/// classified stall — no per-slot work at all. It serves idle
+/// stretches (the common case in memory-latency-bound sweeps); busy
+/// cycles evaluate the dispatch table's candidate slots afresh.
 #[derive(Debug, Clone, Copy)]
 struct ScanMemo {
     valid: bool,
@@ -226,20 +187,14 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     trace: Option<Vec<u16>>,
     pe_id: u16,
     tracer: T,
-    /// Per-slot memoized readiness (see [`SlotCacheEntry`]).
-    slot_cache: Vec<SlotCacheEntry>,
     /// Generation counter over every queue-or-pipeline-visible state:
     /// bumped after any cycle that had work in flight and whenever
     /// queue traffic (internal or external) is detected, invalidating
-    /// `queue_dependent` cache entries.
+    /// the whole-scan memo.
     queue_epoch: u64,
     /// Last observed sum of all queue modification counters, for
     /// detecting fabric pushes/pops between cycles.
     queue_fingerprint: u64,
-    /// Whether the memoized trigger fast path is consulted (on by
-    /// default; [`UarchPe::set_trigger_cache`] disables it for A/B
-    /// benchmarking and differential testing).
-    trigger_cache_enabled: bool,
     /// The stall class of the last step, recorded only when that step
     /// was a *pure* stall — no work in flight at its start and nothing
     /// issued — so the whole architectural state provably did not
@@ -294,7 +249,6 @@ impl<T: Tracer> UarchPe<T> {
     ) -> Result<Self, IsaError> {
         params.validate()?;
         program.validate(params)?;
-        let slot_cache = vec![SlotCacheEntry::invalid(); program.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program, params));
         Ok(UarchPe {
             regs: vec![0; params.num_regs],
@@ -330,28 +284,14 @@ impl<T: Tracer> UarchPe<T> {
             params: params.clone(),
             config,
             program: Arc::new(program),
-            slot_cache,
             queue_epoch: 0,
             queue_fingerprint: 0,
-            trigger_cache_enabled: true,
             last_stall: None,
             compiled,
-            jit_enabled: tia_jit::jit_from_env(),
+            jit_enabled: tia_fabric::toggle_from_env("TIA_JIT"),
             scan_memo: ScanMemo::invalid(),
             pending: Pending::default(),
         })
-    }
-
-    /// Enables (or disables) the memoized trigger-readiness fast path.
-    /// On by default; disabling forces full re-evaluation of every
-    /// slot every cycle — architecturally identical by construction
-    /// (debug builds assert agreement on every cache hit), useful for
-    /// A/B benchmarking and differential tests.
-    pub fn set_trigger_cache(&mut self, enable: bool) {
-        self.trigger_cache_enabled = enable;
-        for entry in &mut self.slot_cache {
-            *entry = SlotCacheEntry::invalid();
-        }
     }
 
     /// Enables (or disables) the predicate-state dispatch table and the
@@ -481,9 +421,9 @@ impl<T: Tracer> UarchPe<T> {
         // Any cycle with work in flight (pre-existing or just issued)
         // may have moved queue/in-flight/speculation state in its
         // decode and commit phases — and the register interlock is
-        // time-dependent while instructions are in flight — so
-        // queue-dependent cached trigger statuses from this cycle must
-        // not survive into the next.
+        // time-dependent while instructions are in flight — so a
+        // memoized stall from this cycle must not survive into the
+        // next.
         if busy || class == CycleClass::Issued {
             self.queue_epoch += 1;
         }
@@ -948,13 +888,11 @@ impl<T: Tracer> UarchPe<T> {
 
     /// Evaluates one instruction slot's issue status against current
     /// state, consulting queue/in-flight/speculation state only when
-    /// the predicate gate passes. Returns the status and whether that
-    /// queue-side state was consulted (the dirty-tracking class of the
-    /// result — see [`SlotCacheEntry`]).
-    fn compute_slot_status(&self, slot: usize) -> (SlotStatus, bool) {
+    /// the predicate gate passes.
+    fn compute_slot_status(&self, slot: usize) -> SlotStatus {
         let c = self.compiled.slot(slot);
         if !c.valid {
-            return (SlotStatus::NotReady, false);
+            return SlotStatus::NotReady;
         }
         let pending_preds = self.pending.preds;
 
@@ -975,20 +913,19 @@ impl<T: Tracer> UarchPe<T> {
             let stable_match = (self.preds.bits() & stable_on) == stable_on
                 && (self.preds.bits() & stable_off) == 0;
             if !stable_match {
-                return (SlotStatus::NotReady, false);
+                return SlotStatus::NotReady;
             }
             // Count it as a predicate hazard only if the rest of the
             // trigger could plausibly fire once the bits resolve.
             let (_, queue_effective) = self.queue_conditions(c);
-            let status = if queue_effective && !self.register_interlock(c) {
+            return if queue_effective && !self.register_interlock(c) {
                 SlotStatus::BlockedPred
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
         if !c.pred_matches(self.preds.bits()) {
-            return (SlotStatus::NotReady, false);
+            return SlotStatus::NotReady;
         }
 
         let (queue_conservative, queue_effective) = self.queue_conditions(c);
@@ -1010,68 +947,24 @@ impl<T: Tracer> UarchPe<T> {
         );
 
         if forbidden {
-            let status = if queue_effective && !data_blocked {
+            return if queue_effective && !data_blocked {
                 SlotStatus::BlockedForbidden
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
         if !queue_ok {
-            let status = if queue_effective {
+            return if queue_effective {
                 // Only the conservative accounting blocks it.
                 SlotStatus::BlockedQueueConservative
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
         if data_blocked {
-            return (SlotStatus::BlockedData, true);
+            return SlotStatus::BlockedData;
         }
-        (SlotStatus::Eligible, true)
-    }
-
-    /// One slot's status through the memoized fast path: reuse the
-    /// last evaluation when its dirty-tracking keys show the inputs
-    /// unchanged, otherwise re-evaluate and refresh the cache. In
-    /// debug builds every cache hit is cross-checked against full
-    /// re-evaluation.
-    fn slot_status_fast(&mut self, slot: usize) -> SlotStatus {
-        let pending_masked = self.pending.preds & self.compiled.slot(slot).touched;
-        if self.trigger_cache_enabled {
-            let entry = self.slot_cache[slot];
-            if entry.valid
-                && entry.preds_bits == self.preds.bits()
-                && entry.pending_masked == pending_masked
-                && (!entry.queue_dependent || entry.queue_epoch == self.queue_epoch)
-            {
-                #[cfg(debug_assertions)]
-                {
-                    let (fresh, _) = self.compute_slot_status(slot);
-                    debug_assert_eq!(
-                        fresh, entry.status,
-                        "trigger fast path diverges from full re-evaluation at slot {slot}"
-                    );
-                }
-                return entry.status;
-            }
-        }
-        let (status, queue_dependent) = self.compute_slot_status(slot);
-        // A queue-dependent entry cannot hit while work is in flight —
-        // the epoch is bumped at the end of every busy cycle — so
-        // storing one would be pure overhead on a saturated PE.
-        if self.trigger_cache_enabled && (!queue_dependent || self.in_flight.is_empty()) {
-            self.slot_cache[slot] = SlotCacheEntry {
-                status,
-                preds_bits: self.preds.bits(),
-                pending_masked,
-                queue_epoch: self.queue_epoch,
-                queue_dependent,
-                valid: true,
-            };
-        }
-        status
+        SlotStatus::Eligible
     }
 
     /// Detects queue traffic (from the fabric or any external driver)
@@ -1113,7 +1006,7 @@ impl<T: Tracer> UarchPe<T> {
     fn scan_slots(&mut self, slots: u64) -> CycleClass {
         let mut best_rank = 0u8;
         for slot in slot_indices(slots) {
-            let status = self.slot_status_fast(slot);
+            let status = self.compute_slot_status(slot);
             if status == SlotStatus::Eligible {
                 self.issue(slot);
                 return CycleClass::Issued;
@@ -1131,7 +1024,7 @@ impl<T: Tracer> UarchPe<T> {
     fn debug_reference_scan(&self) -> (Option<usize>, u8) {
         let mut best_rank = 0u8;
         for slot in 0..self.program.len() {
-            let (status, _) = self.compute_slot_status(slot);
+            let status = self.compute_slot_status(slot);
             if status == SlotStatus::Eligible {
                 return (Some(slot), best_rank);
             }
@@ -1391,8 +1284,8 @@ impl<T: Tracer> UarchPe<T> {
     /// Restores a snapshot into this PE. The PE must have been built
     /// from the same parameters, configuration and program as the one
     /// that produced the snapshot; continuation is then bit-identical
-    /// to the original run (the trigger-readiness cache is reset —
-    /// it is architecturally transparent).
+    /// to the original run (the whole-scan memo is reset — it is
+    /// architecturally transparent).
     ///
     /// # Errors
     ///
@@ -1489,13 +1382,9 @@ impl<T: Tracer> UarchPe<T> {
         self.now = state.now;
         self.trace = state.trace.clone();
         self.pe_id = state.pe_id;
-        // The trigger-readiness cache memoizes pre-snapshot state;
-        // dropping it is always safe (the fast path is architecturally
-        // transparent). Re-seed the fingerprint from the restored
-        // queue versions so external-traffic detection stays exact.
-        for entry in &mut self.slot_cache {
-            *entry = SlotCacheEntry::invalid();
-        }
+        // Advance the epoch past any pre-snapshot memo and re-seed the
+        // fingerprint from the restored queue versions so
+        // external-traffic detection stays exact.
         self.queue_epoch += 1;
         self.queue_fingerprint = self.queue_version_sum();
         // The stall latch describes the pre-restore timeline; drop it

@@ -1,15 +1,19 @@
 //! Property test: the compiled trigger engine (`tia-jit` — guard
 //! bitmasks, the predicate-state dispatch table, and the whole-scan
 //! stall memo) is architecturally invisible. Random programs run
-//! cycle-for-cycle on compiled and interpreted copies of the same PE —
-//! both the cycle-level [`UarchPe`] and the functional [`FuncPe`] —
-//! while external "fabric" traffic lands on the input queues and
-//! drains the output queues mid-run. Every architectural observable,
-//! the retirement trace, and the final snapshot must stay identical.
+//! cycle-for-cycle on two copies of the same PE, one with `set_jit`
+//! on and one with it off, while external "fabric" traffic lands on
+//! the input queues and drains the output queues mid-run. For the
+//! functional [`FuncPe`] the off side is the interpreted guard match.
+//! For the cycle-level [`UarchPe`] both sides scan the same decoded
+//! `CompiledSlot` facts; the off side scans every valid slot every
+//! cycle, without the dispatch table or the memo. Every
+//! architectural observable, the retirement trace, and the final
+//! snapshot must stay identical.
 //!
-//! (With debug assertions on, the compiled PE additionally
-//! cross-checks every candidate scan and memo hit against a full
-//! interpreted scan, so a divergence is caught at the exact offending
+//! (With debug assertions on, the jit-on `UarchPe` additionally
+//! cross-checks every candidate scan and memo hit against a full scan
+//! of every slot, so a divergence is caught at the exact offending
 //! cycle.)
 
 use proptest::prelude::*;
@@ -137,7 +141,7 @@ fn configs_under_test() -> Vec<UarchConfig> {
     ]
 }
 
-/// Steps compiled and interpreted [`UarchPe`] copies through the same
+/// Steps jit-on and jit-off [`UarchPe`] copies through the same
 /// cycle-by-cycle schedule of external queue traffic and compares
 /// every architectural observable, the retirement trace, and the
 /// final snapshot bytes.

@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod area_power;
-pub mod checkpoint;
 pub mod critical_path;
 pub mod dse;
 pub mod pareto;
@@ -51,7 +50,6 @@ pub mod store;
 pub mod tech;
 
 pub use area_power::{Component, InstMemMedium};
-pub use checkpoint::{CheckpointedCpi, DSE_PARTIAL_KIND};
 pub use critical_path::{critical_path_fo4, max_frequency_mhz};
 pub use dse::{
     evaluate, explore, par_explore, par_explore_with, CachedCpi, CpiMeasurement, CpiSource,

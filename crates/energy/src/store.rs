@@ -370,4 +370,133 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(PathBuf::from(stale));
     }
+
+    #[test]
+    fn interrupted_sweep_resumes_without_remeasuring() {
+        let path = temp_path("resume.store");
+        let ctx = SweepContext::new("synthetic", "test");
+
+        // First run: measure only a few configurations, then "die".
+        let calls = AtomicU64::new(0);
+        let counting = |c: &UarchConfig| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            synthetic(c)
+        };
+        let (first, _) = StoredCpi::open(counting, &path, ctx.clone()).expect("fresh file");
+        for pipeline in [Pipeline::TDX, Pipeline::T_DX] {
+            let _ = first.measure(&UarchConfig::base(pipeline));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        drop(first);
+
+        // Second run: the two finished measurements come from the file.
+        let (resumed, reset) = StoredCpi::open(counting, &path, ctx).expect("store loads");
+        assert_eq!(reset, None);
+        assert_eq!(resumed.store().len(), 2);
+        let _ = resumed.measure(&UarchConfig::base(Pipeline::TDX));
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "no remeasurement");
+        assert_eq!(resumed.lookups(), 1);
+        let _ = resumed.measure(&UarchConfig::base(Pipeline::T_D_X));
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(resumed.misses(), 1);
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resumed_sweep_is_bit_identical_to_uninterrupted() {
+        let path = temp_path("identical.store");
+        let ctx = SweepContext::new("synthetic", "test");
+
+        let straight = crate::dse::par_explore(&synthetic);
+
+        // Interrupted: persist half the configurations, then restart.
+        let (partial, _) = StoredCpi::open(synthetic, &path, ctx.clone()).expect("fresh file");
+        for config in UarchConfig::all().into_iter().take(16) {
+            let _ = partial.measure(&config);
+        }
+        drop(partial);
+        let (resumed_source, _) = StoredCpi::open(synthetic, &path, ctx).expect("loads");
+        let resumed = crate::dse::par_explore(&resumed_source);
+
+        assert_eq!(straight, resumed);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The memo-key regression the store exists to fix: two
+    /// semantically equal encodings of one configuration — object
+    /// fields reordered, a float reformatted (`-0.0` vs `0.0` is the
+    /// bit-level face of formatting drift) — produce *different* JSON
+    /// strings (the old key) but the *same* canonical hash (the new
+    /// key), so they hit the same store entry.
+    #[test]
+    fn semantically_equal_configs_share_one_entry() {
+        let config = UarchConfig::with_pq(Pipeline::T_DX);
+        let encoded = Serialize::to_value(&config);
+        let Value::Object(mut entries) = encoded.clone() else {
+            panic!("configs serialize to objects");
+        };
+        entries.reverse();
+        let reordered = Value::Object(entries);
+
+        // The old keying (serde_json text) tells them apart...
+        let old_key = serde_json::to_string(&encoded).expect("serializes");
+        let old_key_reordered = serde_json::to_string(&reordered).expect("serializes");
+        assert_ne!(old_key, old_key_reordered, "JSON keying is order-sensitive");
+
+        // ...the canonical hash does not.
+        let schema = MEASUREMENT_SCHEMA_VERSION;
+        assert_eq!(
+            canonical_hash(schema, &encoded).expect("hashes"),
+            canonical_hash(schema, &reordered).expect("hashes"),
+        );
+
+        // Float-formatting drift: bit-distinct but semantically equal
+        // floats (-0.0 vs 0.0) also collapse to one key, where their
+        // JSON texts differ.
+        let with_float = |f: f64| {
+            Value::Object(vec![
+                ("config".to_string(), encoded.clone()),
+                ("vdd".to_string(), Value::Float(f)),
+            ])
+        };
+        assert_ne!(
+            serde_json::to_string(&with_float(0.0)).expect("serializes"),
+            serde_json::to_string(&with_float(-0.0)).expect("serializes"),
+        );
+        assert_eq!(
+            canonical_hash(schema, &with_float(0.0)).expect("hashes"),
+            canonical_hash(schema, &with_float(-0.0)).expect("hashes"),
+        );
+    }
+
+    /// A legacy JSON partial file (the pre-store checkpoint format) is
+    /// a stale artifact: it must be moved aside and its measurements
+    /// regenerated.
+    #[test]
+    fn legacy_partial_files_are_discarded_and_regenerated() {
+        let path = temp_path("legacy.json");
+        tia_ckpt::Snapshot::new("tia-dse-partial", Value::Array(Vec::new()))
+            .save(&path)
+            .expect("seed legacy file");
+
+        let calls = AtomicU64::new(0);
+        let counting = |c: &UarchConfig| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            synthetic(c)
+        };
+        let ctx = SweepContext::new("synthetic", "test");
+        let (resumed, reset) = StoredCpi::open(counting, &path, ctx).expect("resets");
+        assert_eq!(reset, Some(StoreReset::LegacyPartial));
+        assert!(resumed.store().is_empty(), "legacy entries are not trusted");
+        let _ = resumed.measure(&UarchConfig::base(Pipeline::TDX));
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "regenerated");
+
+        let mut stale = path.clone().into_os_string();
+        stale.push(".stale");
+        let stale = PathBuf::from(stale);
+        assert!(stale.exists(), "legacy file moved aside");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&stale);
+    }
 }

@@ -62,6 +62,6 @@ pub use mesh::{Coord, Direction, Mesh, MeshBuilder};
 pub use queue::{QueueState, QueueStats, RestoreError, TaggedQueue, Token};
 pub use stream::{StreamSink, StreamSinkState, StreamSource, StreamSourceState};
 pub use system::{
-    fast_forward_from_env, parse_toggle, FastForwardStats, InputRef, Link, OutputRef,
-    ProcessingElement, Snapshotable, StopReason, System, SystemState,
+    parse_toggle, toggle_from_env, FastForwardStats, InputRef, Link, OutputRef, ProcessingElement,
+    Snapshotable, StopReason, System, SystemState,
 };

@@ -271,11 +271,11 @@ pub struct FastForwardStats {
     pub suppressed_probes: u64,
 }
 
-/// Parses a `TIA_FAST_FORWARD`-style boolean toggle. Accepts
-/// `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no` (case-insensitive,
-/// whitespace-trimmed); anything else — including an empty string — is
-/// an error naming the variable and the offending value, never a
-/// silent default.
+/// Parses a boolean environment toggle such as `TIA_FAST_FORWARD` or
+/// `TIA_JIT`. Accepts `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no`
+/// (case-insensitive, whitespace-trimmed); anything else — including an
+/// empty string — is an error naming the variable and the offending
+/// value, never a silent default.
 pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
     match value.trim().to_ascii_lowercase().as_str() {
         "1" | "true" | "on" | "yes" => Ok(true),
@@ -286,21 +286,22 @@ pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
     }
 }
 
-/// Reads the `TIA_FAST_FORWARD` environment variable: unset enables
-/// fast-forwarding (the default), otherwise the value must parse via
-/// [`parse_toggle`] — a malformed value panics with a clear message
-/// rather than being quietly treated as "on". This is the default for
-/// every new [`System`]; CLI tools use it to pick their own
-/// fast-forward default so one knob controls both.
-pub fn fast_forward_from_env() -> bool {
-    match std::env::var("TIA_FAST_FORWARD") {
-        Ok(v) => match parse_toggle("TIA_FAST_FORWARD", &v) {
+/// Reads the engine toggle in the environment variable `name`: unset
+/// means on (the default), otherwise the value must parse via
+/// [`parse_toggle`] — a malformed or non-UTF-8 value panics naming the
+/// variable rather than being quietly treated as "on".
+/// `TIA_FAST_FORWARD` seeds every new [`System`] and `TIA_JIT` every
+/// new PE; CLI tools read the same variables to pick their own
+/// defaults so one knob controls both.
+pub fn toggle_from_env(name: &str) -> bool {
+    match std::env::var(name) {
+        Ok(v) => match parse_toggle(name, &v) {
             Ok(enabled) => enabled,
             Err(message) => panic!("{message}"),
         },
         Err(std::env::VarError::NotPresent) => true,
         Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid TIA_FAST_FORWARD value: not valid UTF-8")
+            panic!("invalid {name} value: not valid UTF-8")
         }
     }
 }
@@ -319,7 +320,7 @@ impl<P: ProcessingElement> System<P> {
             links: Vec::new(),
             cycle: 0,
             tracer: None,
-            fast_forward: fast_forward_from_env(),
+            fast_forward: toggle_from_env("TIA_FAST_FORWARD"),
             ff_stats: FastForwardStats::default(),
             probe_misses: 0,
             probe_cooldown: 0,

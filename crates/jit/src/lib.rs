@@ -27,9 +27,9 @@
 //! The compiled form is *derived-only* state: simulators rebuild it
 //! from the program at construction and snapshots never contain it.
 //! The cycle-level PE reads its per-slot facts on every scan;
-//! `TIA_JIT=0` ([`jit_from_env`]) turns off only the dispatch table
-//! and the simulators' scan memos, which must be — and is
-//! differentially tested to be — bit-identical.
+//! `TIA_JIT=0` (read by `tia_fabric::toggle_from_env`) turns off only
+//! the dispatch table and the simulators' scan memos, which must be —
+//! and is differentially tested to be — bit-identical.
 
 #![warn(missing_docs)]
 
@@ -40,37 +40,6 @@ use tia_isa::{Params, PredState, Program, Tag};
 /// then keeps only the compiled guard sets and callers fall back to a
 /// linear scan.
 pub const TABLE_PRED_LIMIT: usize = 12;
-
-/// Parses the `TIA_JIT` boolean toggle. Accepts `1`/`true`/`on`/`yes`
-/// and `0`/`false`/`off`/`no` (case-insensitive, whitespace-trimmed);
-/// anything else — including an empty string — is an error naming the
-/// variable and the offending value. Mirrors
-/// `tia_fabric::parse_toggle`.
-pub fn parse_jit_toggle(value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!(
-            "invalid TIA_JIT value `{value}`: expected one of 1/true/on/yes or 0/false/off/no"
-        )),
-    }
-}
-
-/// Reads the `TIA_JIT` environment toggle: unset (the default) enables
-/// the compiled trigger engine, otherwise the value must parse via
-/// [`parse_jit_toggle`] — a malformed value panics with a clear
-/// message rather than being quietly treated as "on". Mirrors
-/// `tia_fabric::fast_forward_from_env`.
-pub fn jit_from_env() -> bool {
-    match std::env::var("TIA_JIT") {
-        Ok(value) => match parse_jit_toggle(&value) {
-            Ok(enabled) => enabled,
-            Err(message) => panic!("{message}"),
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(std::env::VarError::NotUnicode(_)) => panic!("invalid TIA_JIT value: not valid UTF-8"),
-    }
-}
 
 /// One lowered tag check: queue index, reference tag and polarity,
 /// stripped of the `InputId` wrapper so the hot loop indexes channels
@@ -262,25 +231,6 @@ fn slot_mask(slots: &[CompiledSlot], keep: impl Fn(&CompiledSlot) -> bool) -> u6
 mod tests {
     use super::*;
     use tia_asm::assemble;
-
-    #[test]
-    fn jit_toggle_accepts_the_documented_spellings() {
-        for on in ["1", "true", "on", "yes", "TRUE", " On "] {
-            assert_eq!(parse_jit_toggle(on), Ok(true), "{on}");
-        }
-        for off in ["0", "false", "off", "no", "FALSE", " Off "] {
-            assert_eq!(parse_jit_toggle(off), Ok(false), "{off}");
-        }
-    }
-
-    #[test]
-    fn jit_toggle_rejects_empty_and_garbage_loudly() {
-        for bad in ["", " ", "2", "jit", "yess", "disable"] {
-            let err =
-                parse_jit_toggle(bad).expect_err("malformed toggles must not default silently");
-            assert!(err.contains("TIA_JIT"), "{bad:?}: {err}");
-        }
-    }
 
     fn compile(src: &str) -> (CompiledProgram, Program, Params) {
         let params = Params::default();

@@ -167,8 +167,8 @@ fn parse_args() -> Result<Options, String> {
     let mut checkpoint_out = None;
     let mut resume = None;
     let mut watchdog = None;
-    let mut fast_forward = tia_fabric::fast_forward_from_env();
-    let mut jit = tia_jit::jit_from_env();
+    let mut fast_forward = tia_fabric::toggle_from_env("TIA_FAST_FORWARD");
+    let mut jit = tia_fabric::toggle_from_env("TIA_JIT");
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--params" => {

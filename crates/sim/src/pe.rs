@@ -133,7 +133,7 @@ impl<T: Tracer> FuncPe<T> {
             last_idle: false,
             queue_epoch: 0,
             compiled,
-            jit_enabled: tia_jit::jit_from_env(),
+            jit_enabled: tia_fabric::toggle_from_env("TIA_JIT"),
         })
     }
 
