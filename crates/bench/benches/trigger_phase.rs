@@ -12,6 +12,12 @@
 //!   with work in flight, so this measures the dispatch table's
 //!   narrowing: only the slots whose predicate pattern matches the
 //!   current state are evaluated.
+//! * `hazard` — slot 0 is a looping datapath predicate writer on a
+//!   four-stage pipeline without predicate prediction, so nearly every
+//!   cycle scans with a predicate write in flight; the other slots
+//!   never match. The scan walks only the slots that could match under
+//!   some resolution of the in-flight bit, so the cost should stay
+//!   flat as slots grow.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tia_asm::assemble;
@@ -41,12 +47,30 @@ fn busy_source(slots: usize) -> String {
     s
 }
 
+/// Slot 0 rewrites `%p1` from the datapath forever; the rest need
+/// `%p7`, which nothing sets.
+fn hazard_source(slots: usize) -> String {
+    let mut s = String::from("when %p == XXXXXXX0: ult %p1, %r0, 9;\n");
+    for _ in 1..slots {
+        s.push_str("when %p == 1XXXXXXX: nop;\n");
+    }
+    s
+}
+
 fn bench_trigger_phase(c: &mut Criterion) {
     let params = Params::default();
-    let config = UarchConfig::with_pq(Pipeline::T_DX);
-    for (scenario, source_of) in [
-        ("idle", idle_source as fn(usize) -> String),
-        ("busy", busy_source),
+    for (scenario, source_of, config) in [
+        (
+            "idle",
+            idle_source as fn(usize) -> String,
+            UarchConfig::with_pq(Pipeline::T_DX),
+        ),
+        ("busy", busy_source, UarchConfig::with_pq(Pipeline::T_DX)),
+        (
+            "hazard",
+            hazard_source,
+            UarchConfig::base(Pipeline::T_D_X1_X2),
+        ),
     ] {
         let mut group = c.benchmark_group(format!("trigger_phase_{scenario}"));
         for slots in [1usize, 2, 4, 8, 16] {

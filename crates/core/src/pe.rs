@@ -85,14 +85,16 @@ enum SlotStatus {
     NotReady,
 }
 
-/// The in-flight pressure on one trigger scan, hoisted once per
-/// trigger phase from the in-flight slots' decoded facts (see
-/// [`UarchPe::hoist_pending`]) so that every slot's hazard and
-/// interlock checks are a mask test against its [`CompiledSlot`].
-/// Valid only during the trigger scan of the current cycle: neither
-/// `in_flight` nor any `d_done` flag changes between the hoist and the
-/// end of the scan.
-#[derive(Debug, Clone, Copy, Default)]
+/// The in-flight pressure the trigger scan tests every slot against,
+/// so that each hazard and interlock check is a mask test against the
+/// slot's [`CompiledSlot`]. Updated at the events that change
+/// `in_flight`, never refolded per cycle: `issue` adds the slot's facts,
+/// `run_decode` drops its dequeues, `commit_phase` drops its enqueue
+/// (and refolds the predicate bits when a writer leaves), a mispredict
+/// flush clears it and `restore` refolds it
+/// ([`UarchPe::recompute_pending`]). Only `fresh_writes` depends on the
+/// clock; the trigger phase sets it each cycle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Pending {
     /// Predicate bits with in-flight datapath writes.
     preds: u32,
@@ -103,6 +105,21 @@ struct Pending {
     /// Registers written by an instruction issued last cycle, which a
     /// split-ALU (X1|X2) pipeline cannot yet forward to X1.
     fresh_writes: u64,
+}
+
+impl Pending {
+    /// Adds the pressure of a slot entering the pipeline.
+    fn add(&mut self, c: &CompiledSlot) {
+        for q in slot_indices(c.deq_mask.into()) {
+            self.deq[q] += 1;
+        }
+        if let Some(q) = c.out_queue {
+            self.enq[q as usize] += 1;
+        }
+        if let Some(p) = c.pred_dst {
+            self.preds |= 1 << p;
+        }
+    }
 }
 
 /// A one-entry memo over the *whole* trigger scan: when the pipeline
@@ -217,7 +234,8 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     jit_enabled: bool,
     /// The whole-scan stall memo (see [`ScanMemo`]). Derived-only.
     scan_memo: ScanMemo,
-    /// The hoisted in-flight pressure (see [`Pending`]).
+    /// The in-flight pressure, updated per pipeline event (see
+    /// [`Pending`]). Derived-only.
     pending: Pending,
 }
 
@@ -489,6 +507,16 @@ impl<T: Tracer> UarchPe<T> {
         }
         let flight = self.in_flight.remove(0);
         debug_assert_eq!(flight.spec_level, 0, "speculative head must resolve first");
+        let c = self.compiled.slot(flight.slot);
+        if let Some(q) = c.out_queue {
+            self.pending.enq[q as usize] -= 1;
+        }
+        if c.pred_dst.is_some() {
+            // Another in-flight writer may hold the same bit.
+            self.pending.preds = self.in_flight.iter().fold(0, |bits, f| {
+                bits | self.compiled.slot(f.slot).pred_dst.map_or(0, |p| 1 << p)
+            });
+        }
         // Borrowed through the `program` field alone: every other
         // field stays mutable below.
         let instruction = &self.program.instructions()[flight.slot];
@@ -601,6 +629,7 @@ impl<T: Tracer> UarchPe<T> {
                             "everything younger than the writer is speculative"
                         );
                         self.in_flight.clear();
+                        self.pending = Pending::default();
                         self.spec_stack.clear();
                         self.counters.quashed += quashed as u64;
                         self.halt_pending = false;
@@ -773,13 +802,16 @@ impl<T: Tracer> UarchPe<T> {
                 );
             }
         }
+        for q in slot_indices(self.compiled.slot(self.in_flight[idx].slot).deq_mask.into()) {
+            self.pending.deq[q] -= 1;
+        }
         self.in_flight[idx].queue_operands = captured;
         self.in_flight[idx].d_done = true;
     }
 
-    /// Hoists the in-flight pressure into [`Pending`], once per trigger
-    /// phase, from the in-flight slots' decoded facts.
-    fn hoist_pending(&mut self) {
+    /// Folds every in-flight slot's decoded facts into a fresh
+    /// [`Pending`]: what the per-event updates must always equal.
+    fn recompute_pending(&self) -> Pending {
         let mut pending = Pending::default();
         for f in &self.in_flight {
             let c = self.compiled.slot(f.slot);
@@ -803,7 +835,24 @@ impl<T: Tracer> UarchPe<T> {
                 }
             }
         }
-        self.pending = pending;
+        pending
+    }
+
+    /// Sets [`Pending::fresh_writes`] for this cycle: one issue per
+    /// cycle means only the youngest in-flight entry can have issued
+    /// last cycle.
+    fn refresh_fresh_writes(&mut self) {
+        self.pending.fresh_writes = match self.in_flight.last() {
+            Some(f) if self.config.pipeline.split_x && f.issue_cycle + 1 == self.now => {
+                self.compiled.slot(f.slot).reg_write.map_or(0, |r| 1 << r)
+            }
+            _ => 0,
+        };
+        debug_assert_eq!(
+            self.pending,
+            self.recompute_pending(),
+            "per-event in-flight pressure diverges from a refold"
+        );
     }
 
     /// Evaluates the §5.3 queue-side trigger conditions for one slot:
@@ -968,8 +1017,10 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     /// Detects queue traffic (from the fabric or any external driver)
-    /// since the last trigger evaluation and advances the queue epoch
-    /// accordingly.
+    /// since the last refresh and advances the queue epoch accordingly.
+    /// Only empty-pipeline cycles need it: a busy cycle bumps the
+    /// epoch at its end anyway, and the fast-forward latch
+    /// (`last_stall`) is set only after a cycle that refreshed.
     fn refresh_queue_epoch(&mut self) {
         let fingerprint = self.queue_version_sum();
         if fingerprint != self.queue_fingerprint {
@@ -1042,7 +1093,10 @@ impl<T: Tracer> UarchPe<T> {
         if self.config.predicate_prediction {
             self.try_early_confirmation();
         }
-        self.refresh_queue_epoch();
+        if self.in_flight.is_empty() {
+            self.refresh_queue_epoch();
+        }
+        self.refresh_fresh_writes();
 
         // Whole-scan stall memo: with an empty pipeline the scan is a
         // pure function of (predicate state, queue epoch) — every busy
@@ -1059,7 +1113,6 @@ impl<T: Tracer> UarchPe<T> {
         {
             #[cfg(debug_assertions)]
             {
-                self.hoist_pending();
                 let (slot, rank) = self.debug_reference_scan();
                 debug_assert_eq!(slot, None, "memoized stall would now issue slot {slot:?}");
                 debug_assert_eq!(
@@ -1070,27 +1123,30 @@ impl<T: Tracer> UarchPe<T> {
             }
             return self.scan_memo.class;
         }
-        self.hoist_pending();
 
         // Dispatch-table candidate scan: skip slots whose predicate
-        // pattern cannot match the current state. The skip is exact —
-        // statuses *and* stall-rank attribution — precisely when no
-        // pending datapath predicate write could still flip a pattern:
-        // with nothing pending, or under +P (where the speculative
-        // unit always supplies a value and `BlockedPred` cannot
-        // arise), a pattern-mismatched slot is `NotReady` (rank 0)
-        // either way. Otherwise `BlockedPred` needs the stable-bit
-        // analysis over *all* slots, so scan every valid slot.
-        let narrowed =
-            self.jit_enabled && (self.pending.preds == 0 || self.config.predicate_prediction);
-        let slots = if narrowed {
-            self.compiled.candidates(self.preds)
+        // pattern cannot match. The skip is exact — statuses *and*
+        // stall-rank attribution. Under +P the speculative unit always
+        // supplies a value, so a slot whose pattern fails the current
+        // state is `NotReady` (rank 0). Without +P, a pending datapath
+        // write leaves its bit open: a slot that fails under every
+        // resolution of the open bits also fails the stable-bit test
+        // in `compute_slot_status`, so it is `NotReady` too, and the
+        // scan walks the union of the table rows over those
+        // resolutions.
+        let free = if self.config.predicate_prediction {
+            0
         } else {
-            self.compiled.valid_slots()
+            self.pending.preds
+        };
+        let slots = match (self.jit_enabled, free) {
+            (false, _) => self.compiled.valid_slots(),
+            (true, 0) => self.compiled.candidates(self.preds),
+            (true, free) => self.compiled.candidates_any(self.preds, free),
         };
 
         #[cfg(debug_assertions)]
-        let reference = narrowed.then(|| self.debug_reference_scan());
+        let reference = self.jit_enabled.then(|| self.debug_reference_scan());
 
         let class = self.scan_slots(slots);
 
@@ -1174,6 +1230,7 @@ impl<T: Tracer> UarchPe<T> {
             spec_resolved_early: false,
             queue_operands: [None; NUM_SRCS],
         });
+        self.pending.add(self.compiled.slot(slot));
 
         // Merged trigger/decode stages do decode work in the issue
         // cycle.
@@ -1392,6 +1449,7 @@ impl<T: Tracer> UarchPe<T> {
         self.last_stall = None;
         // So does the whole-scan stall memo.
         self.scan_memo = ScanMemo::invalid();
+        self.pending = self.recompute_pending();
         Ok(())
     }
 }

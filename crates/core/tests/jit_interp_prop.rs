@@ -12,9 +12,12 @@
 //! snapshot must stay identical.
 //!
 //! (With debug assertions on, the jit-on `UarchPe` additionally
-//! cross-checks every candidate scan and memo hit against a full scan
-//! of every slot, so a divergence is caught at the exact offending
-//! cycle.)
+//! cross-checks every candidate scan — including the scans narrowed
+//! over every resolution of in-flight predicate writes — and every
+//! memo hit against a full scan of every slot, and both sides check
+//! their per-event in-flight pressure against a refold of the whole
+//! pipeline each trigger phase, so a divergence is caught at the exact
+//! offending cycle.)
 
 use proptest::prelude::*;
 use tia_asm::assemble;

@@ -608,63 +608,79 @@ impl<P: ProcessingElement> System<P> {
         self.cycle += 1;
     }
 
+    /// The queue a link's producer endpoint pops from. Forced inline:
+    /// `transfer_links` probes every link every cycle, and an outlined
+    /// call per probe measurably slows the suite sweep.
+    #[inline(always)]
+    fn producer(&mut self, from: OutputRef) -> &mut TaggedQueue {
+        match from {
+            OutputRef::Pe { pe, queue } => self.pes[pe].output_queue_mut(queue),
+            OutputRef::ReadData { port } => &mut self.read_ports[port].data_out,
+            OutputRef::Source { source } => &mut self.sources[source].out,
+        }
+    }
+
+    /// The queue a link's consumer endpoint pushes into (forced inline
+    /// like [`System::producer`]).
+    #[inline(always)]
+    fn consumer(&mut self, to: InputRef) -> &mut TaggedQueue {
+        match to {
+            InputRef::Pe { pe, queue } => self.pes[pe].input_queue_mut(queue),
+            InputRef::ReadAddr { port } => &mut self.read_ports[port].addr_in,
+            InputRef::WriteAddr { port } => &mut self.write_ports[port].addr_in,
+            InputRef::WriteData { port } => &mut self.write_ports[port].data_in,
+            InputRef::SeqWriteData { port } => &mut self.seq_write_ports[port].data_in,
+            InputRef::Sink { sink } => &mut self.sinks[sink].input,
+        }
+    }
+
+    /// Whether `link` can move a token now: its producer holds one and
+    /// its consumer has space. The producer is probed first because
+    /// on most cycles most producers are empty.
+    #[inline(always)]
+    fn link_ready(&mut self, link: Link) -> bool {
+        !self.producer(link.from).is_empty() && !self.consumer(link.to).is_full()
+    }
+
     fn transfer_links(&mut self) {
         for i in 0..self.links.len() {
-            let Link { from, to } = self.links[i];
-            // Peek destination space first so we never drop a token.
-            let has_space = match to {
-                InputRef::Pe { pe, queue } => !self.pes[pe].input_queue_mut(queue).is_full(),
-                InputRef::ReadAddr { port } => !self.read_ports[port].addr_in.is_full(),
-                InputRef::WriteAddr { port } => !self.write_ports[port].addr_in.is_full(),
-                InputRef::WriteData { port } => !self.write_ports[port].data_in.is_full(),
-                InputRef::SeqWriteData { port } => !self.seq_write_ports[port].data_in.is_full(),
-                InputRef::Sink { sink } => !self.sinks[sink].input.is_full(),
-            };
-            if !has_space {
+            let link = self.links[i];
+            // Check the consumer's space before popping so we never
+            // drop a token.
+            if !self.link_ready(link) {
                 continue;
             }
-            let token = match from {
-                OutputRef::Pe { pe, queue } => self.pes[pe].output_queue_mut(queue).pop(),
-                OutputRef::ReadData { port } => self.read_ports[port].data_out.pop(),
-                OutputRef::Source { source } => self.sources[source].out.pop(),
-            };
-            let Some(token) = token else { continue };
-            let accepted = match to {
-                InputRef::Pe { pe, queue } => self.pes[pe].input_queue_mut(queue).push(token),
-                InputRef::ReadAddr { port } => self.read_ports[port].addr_in.push(token),
-                InputRef::WriteAddr { port } => self.write_ports[port].addr_in.push(token),
-                InputRef::WriteData { port } => self.write_ports[port].data_in.push(token),
-                InputRef::SeqWriteData { port } => self.seq_write_ports[port].data_in.push(token),
-                InputRef::Sink { sink } => self.sinks[sink].input.push(token),
-            };
+            let token = self
+                .producer(link.from)
+                .pop()
+                .expect("producer holds a token");
+            let accepted = self.consumer(link.to).push(token);
             debug_assert!(accepted, "space was checked before popping");
-            if let Some(tracer) = &mut self.tracer {
-                let cycle = self.cycle;
-                if let OutputRef::Pe { pe, queue } = from {
-                    let occupancy = self.pes[pe].output_queue_mut(queue).occupancy() as u16;
-                    tracer.record(TraceEvent::new(
-                        pe as u16,
-                        cycle,
-                        EventKind::QueueOp {
-                            queue: queue as u16,
-                            dir: QueueDir::Dequeue,
-                            occupancy,
-                        },
-                    ));
+            if self.tracer.is_some() {
+                if let OutputRef::Pe { pe, queue } = link.from {
+                    let occupancy = self.producer(link.from).occupancy();
+                    self.trace_queue_op(pe, queue, QueueDir::Dequeue, occupancy);
                 }
-                if let InputRef::Pe { pe, queue } = to {
-                    let occupancy = self.pes[pe].input_queue_mut(queue).occupancy() as u16;
-                    tracer.record(TraceEvent::new(
-                        pe as u16,
-                        cycle,
-                        EventKind::QueueOp {
-                            queue: queue as u16,
-                            dir: QueueDir::Enqueue,
-                            occupancy,
-                        },
-                    ));
+                if let InputRef::Pe { pe, queue } = link.to {
+                    let occupancy = self.consumer(link.to).occupancy();
+                    self.trace_queue_op(pe, queue, QueueDir::Enqueue, occupancy);
                 }
             }
+        }
+    }
+
+    /// Records a link's `QueueOp` on a PE queue, when tracing.
+    fn trace_queue_op(&mut self, pe: usize, queue: usize, dir: QueueDir, occupancy: usize) {
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record(TraceEvent::new(
+                pe as u16,
+                self.cycle,
+                EventKind::QueueOp {
+                    queue: queue as u16,
+                    dir,
+                    occupancy: occupancy as u16,
+                },
+            ));
         }
     }
 
@@ -673,29 +689,10 @@ impl<P: ProcessingElement> System<P> {
     /// space. While this is false and every component is inert, the
     /// whole system state is frozen.
     fn any_link_ready(&mut self) -> bool {
-        for i in 0..self.links.len() {
-            let Link { from, to } = self.links[i];
-            let has_token = match from {
-                OutputRef::Pe { pe, queue } => !self.pes[pe].output_queue_mut(queue).is_empty(),
-                OutputRef::ReadData { port } => !self.read_ports[port].data_out.is_empty(),
-                OutputRef::Source { source } => !self.sources[source].out.is_empty(),
-            };
-            if !has_token {
-                continue;
-            }
-            let has_space = match to {
-                InputRef::Pe { pe, queue } => !self.pes[pe].input_queue_mut(queue).is_full(),
-                InputRef::ReadAddr { port } => !self.read_ports[port].addr_in.is_full(),
-                InputRef::WriteAddr { port } => !self.write_ports[port].addr_in.is_full(),
-                InputRef::WriteData { port } => !self.write_ports[port].data_in.is_full(),
-                InputRef::SeqWriteData { port } => !self.seq_write_ports[port].data_in.is_full(),
-                InputRef::Sink { sink } => !self.sinks[sink].input.is_full(),
-            };
-            if has_space {
-                return true;
-            }
-        }
-        false
+        (0..self.links.len()).any(|i| {
+            let link = self.links[i];
+            self.link_ready(link)
+        })
     }
 
     /// How many cycles (at most `limit`) the system can provably skip

@@ -22,7 +22,11 @@
 //!   that state (programs hold at most 64 slots, so one `u64` each). A
 //!   scan then touches only the slots that could possibly fire under
 //!   the current predicates — usually one or two out of a whole
-//!   program — in program order, lowest bit first.
+//!   program — in program order, lowest bit first. While datapath
+//!   predicate writes are in flight, the union of the rows over every
+//!   resolution of the unknown bits
+//!   ([`CompiledProgram::candidates_any`]) narrows the scan just as
+//!   exactly: a slot outside it cannot match however the bits resolve.
 //!
 //! The compiled form is *derived-only* state: simulators rebuild it
 //! from the program at construction and snapshots never contain it.
@@ -37,8 +41,10 @@ use tia_isa::{Params, PredState, Program, Tag};
 
 /// Above this many predicate bits a full dispatch table (one entry per
 /// predicate state) is too large to precompute; [`CompiledProgram`]
-/// then keeps only the compiled guard sets and callers fall back to a
-/// linear scan.
+/// then keeps only the compiled guard sets, computes
+/// [`CompiledProgram::candidates`] with a pass over the slots per call,
+/// and answers [`CompiledProgram::candidates_any`] with every valid
+/// slot.
 pub const TABLE_PRED_LIMIT: usize = 12;
 
 /// One lowered tag check: queue index, reference tag and polarity,
@@ -58,8 +64,9 @@ pub struct CompiledCheck {
 /// indices at load time.
 #[derive(Debug, Clone)]
 pub struct CompiledSlot {
-    /// The slot's valid bit (invalid slots never appear in the
-    /// dispatch table, but the linear-scan fallback consults this).
+    /// The slot's valid bit. Invalid slots are never candidates and
+    /// never in [`CompiledProgram::valid_slots`], so a scan over either
+    /// mask never meets one.
     pub valid: bool,
     /// Predicate bits required on: `(preds & on_set) == on_set`.
     pub on_set: u32,
@@ -216,6 +223,31 @@ impl CompiledProgram {
             None => slot_mask(&self.slots, |c| c.valid && c.pred_matches(preds.bits())),
         }
     }
+
+    /// The candidate slots when the predicate bits in `free` are not
+    /// yet known (in-flight datapath writes): the union of
+    /// [`CompiledProgram::candidates`] over every resolution of those
+    /// bits, one table load per resolution (`2^popcount(free)`). A slot
+    /// outside the result fails its pattern however the bits resolve.
+    /// Without a table this is every valid slot.
+    pub fn candidates_any(&self, preds: PredState, free: u32) -> u64 {
+        let Some(table) = &self.table else {
+            return self.valid;
+        };
+        let state_mask = (1u32 << self.num_preds) - 1;
+        let free = free & state_mask;
+        let fixed = preds.bits() & state_mask & !free;
+        // Walk every subset of `free`, including the empty one.
+        let mut resolution = free;
+        let mut mask = 0;
+        loop {
+            mask |= table[(fixed | resolution) as usize];
+            if resolution == 0 {
+                return mask;
+            }
+            resolution = (resolution - 1) & free;
+        }
+    }
 }
 
 /// The bitmask of the slots satisfying `keep`.
@@ -302,23 +334,53 @@ mod tests {
     }
 
     #[test]
-    fn env_toggle_defaults_on_and_recognizes_off_spellings() {
-        // Note: avoids mutating the process environment (tests run
-        // concurrently); exercises the parse through a helper.
-        for (value, expect) in [
-            ("0", false),
-            ("false", false),
-            ("OFF", false),
-            ("no", false),
-            ("1", true),
-            ("on", true),
-            ("yes", true),
-        ] {
-            let parsed = !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "0" | "false" | "off" | "no"
+    fn candidates_any_unions_every_resolution_of_the_free_bits() {
+        let (compiled, program, params) = compile(
+            "when %p == XXXXXXX0: ult %p1, %r0, 9; set %p = ZZZZZZZ1;\n\
+             when %p == XXXXXX11: add %r0, %r0, 1;\n\
+             when %p == XXXXX1X1: mov %r1, %r0;\n\
+             when %p == XXXX0X1X: nop;\n\
+             when %p == XXXX1XX0: sub %r2, %r2, 1;\n\
+             when %p == XXXXXXXX: halt;",
+        );
+        assert!(compiled.has_table());
+        // Brute force: try every assignment of the free bits.
+        let matches_some_resolution = |state: u32, free: u32, slot: usize| {
+            let i = &program.instructions()[slot];
+            (0..1u32 << 4).filter(|r| r & !free == 0).any(|r| {
+                let bits = (state & !free) | r;
+                i.valid && i.trigger.predicates.matches(PredState::from_bits(bits))
+            })
+        };
+        for free in 0..1u32 << 4 {
+            for state in 0..1u32 << params.num_preds {
+                let expected = (0..program.len())
+                    .filter(|&slot| matches_some_resolution(state, free, slot))
+                    .fold(0u64, |mask, slot| mask | 1 << slot);
+                let got = compiled.candidates_any(PredState::from_bits(state), free);
+                assert_eq!(got, expected, "state {state:#010b}, free {free:#06b}");
+            }
+        }
+
+        let mut wide = Params::default();
+        wide.num_preds = TABLE_PRED_LIMIT + 1;
+        let program = assemble(
+            &format!(
+                "when %p == {}1: halt;\nwhen %p == {}0: nop;",
+                "X".repeat(TABLE_PRED_LIMIT),
+                "X".repeat(TABLE_PRED_LIMIT)
+            ),
+            &wide,
+        )
+        .unwrap();
+        let compiled = CompiledProgram::compile(&program, &wide);
+        assert!(!compiled.has_table());
+        for free in [0, 1, 0b10] {
+            assert_eq!(
+                compiled.candidates_any(PredState::new(), free),
+                compiled.valid_slots(),
+                "without a table every valid slot stays a candidate"
             );
-            assert_eq!(parsed, expect, "{value}");
         }
     }
 }
