@@ -4,11 +4,11 @@
 //! * `idle` — every slot waits on input-queue tokens that never
 //!   arrive (the dominant state of a PE awaiting fabric traffic).
 //!   Nothing issues and the pipeline stays empty, so after the first
-//!   cycle the whole-scan stall memo (`ScanMemo`) answers every cycle
-//!   without evaluating a slot; the cost should stay flat as slots
-//!   grow.
+//!   cycle the latched stall (`last_stall`, with an unchanged queue
+//!   fingerprint) answers every cycle without evaluating a slot; the
+//!   cost should stay flat as slots grow.
 //! * `busy` — one slot issues a perpetual counter every cycle while
-//!   the rest are rejected on predicates alone. The memo cannot hit
+//!   the rest are rejected on predicates alone. Nothing is latched
 //!   with work in flight, so this measures the dispatch table's
 //!   narrowing: only the slots whose predicate pattern matches the
 //!   current state are evaluated.

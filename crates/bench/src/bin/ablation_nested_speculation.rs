@@ -13,7 +13,7 @@ use tia_core::{CpiStack, Pipeline, UarchConfig};
 use tia_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     println!("Ablation: speculation nesting depth (suite average).\n");
     let mut t = Table::new(&[
         "pipeline",

@@ -9,7 +9,7 @@ use tia_core::{Pipeline, PredictorKind, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     println!("Ablation: predicate predictor design (T|D|X1|X2 +P+Q).\n");
     let mut t = Table::new(&[
         "workload",

@@ -27,7 +27,7 @@ fn run(kind: WorkloadKind, config: UarchConfig, capacity: usize, scale: Scale) -
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     println!("Ablation: queue capacity vs scheduler discipline (T|D|X1|X2, merge).\n");
     let mut t = Table::new(&[
         "capacity",

@@ -17,9 +17,10 @@
 //!
 //! A stale file found at `PATH` (another schema version, or a
 //! pre-store JSON partial file) is moved aside and regenerated, never
-//! trusted. `--no-fast-forward` and `--no-jit` turn off the engines
-//! for A/B runs. Any other argument is an error: the process exits
-//! nonzero naming it instead of running a sweep it was not asked for.
+//! trusted. `--no-fast-forward` turns off the fabric's fast-forward
+//! engine for A/B runs. Any other argument is an error: the process
+//! exits nonzero naming it instead of running a sweep it was not asked
+//! for (see [`tia_bench::scale_from_args`]).
 //!
 //! `--expect-warm` turns the run into a cache-integrity gate: the
 //! process exits nonzero if any point had to be simulated (CI runs a
@@ -32,39 +33,9 @@ use std::process::ExitCode;
 use tia_bench::{scale_from_args, store_path_from_args, sweep_through_store};
 use tia_energy::pareto::pareto_frontier;
 
-/// Every flag this binary accepts, and whether it takes a value.
-const FLAGS: &[(&str, bool)] = &[
-    ("--test-scale", false),
-    ("--store", true),
-    ("-o", true),
-    ("--output", true),
-    ("--expect-warm", false),
-    ("--no-fast-forward", false),
-    ("--no-jit", false),
-];
-
-/// Checks `args` (without the program name) against [`FLAGS`].
-fn check_args(args: &[String]) -> Result<(), String> {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        match FLAGS.iter().find(|(flag, _)| flag == arg) {
-            Some((_, true)) if rest.next().is_none() => {
-                return Err(format!("`{arg}` needs a PATH argument"))
-            }
-            Some(_) => {}
-            None => return Err(format!("unrecognised argument `{arg}`")),
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
+    let scale = scale_from_args(&[("-o", true), ("--output", true), ("--expect-warm", false)]);
     let args: Vec<String> = std::env::args().collect();
-    if let Err(message) = check_args(&args[1..]) {
-        eprintln!("dse_export: {message}");
-        return ExitCode::FAILURE;
-    }
-    let scale = scale_from_args();
     let flag_value = |flags: &[&str]| {
         args.iter()
             .position(|a| flags.contains(&a.as_str()))

@@ -20,7 +20,7 @@ struct PredictionPoint {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let config = UarchConfig::with_pq(Pipeline::T_DX);
     let mut t = Table::new(&["workload", "pred. write freq.", "prediction accuracy"]);
     let mut points: Vec<PredictionPoint> = Vec::new();

@@ -24,7 +24,7 @@ struct StackPoint {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let mut configs: Vec<UarchConfig> = Vec::new();
     for pipeline in Pipeline::ALL {
         if pipeline == Pipeline::TDX {

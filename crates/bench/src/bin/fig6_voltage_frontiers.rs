@@ -6,7 +6,7 @@ use tia_energy::dse::DesignPoint;
 use tia_energy::pareto::{pareto_frontier, span};
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let points = suite_design_points(scale);
     println!(
         "Figure 6: per-voltage energy-delay frontiers over {} feasible design points.\n",

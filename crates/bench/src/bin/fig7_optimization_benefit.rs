@@ -41,7 +41,7 @@ fn frontier_points(frontier: &[DesignPoint]) -> Vec<FrontierPoint> {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let points = suite_design_points(scale);
 
     // The balanced region of Figure 7: delays up to 10 ns/instruction.

@@ -6,7 +6,7 @@ use tia_bench::{scale_from_args, suite_design_points, Table};
 use tia_energy::pareto::{density_context, pareto_frontier, span};
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let points = suite_design_points(scale);
     let frontier = pareto_frontier(&points);
 

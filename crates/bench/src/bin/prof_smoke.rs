@@ -80,7 +80,7 @@ fn sweep_profiled(configs: &[UarchConfig], scale: Scale) -> (u64, Vec<Leaf>) {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[("--assert-overhead", false)]);
     let assert_overhead = std::env::args().any(|a| a == "--assert-overhead");
     let configs = [
         UarchConfig::base(Pipeline::TDX),

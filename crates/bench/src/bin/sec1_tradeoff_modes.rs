@@ -16,7 +16,7 @@ use tia_energy::max_frequency_mhz;
 use tia_energy::tech::VtClass;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let source = suite_activity_source(scale);
     let vt = VtClass::Standard;
 

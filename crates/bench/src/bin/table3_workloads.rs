@@ -11,7 +11,7 @@ use tia_sim::FuncPe;
 use tia_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(&[]);
     let params = Params::default();
     let mut t = Table::new(&[
         "workload",

@@ -133,23 +133,66 @@ pub fn suite_activity_source(scale: Scale) -> impl Fn(&UarchConfig) -> CpiMeasur
     }
 }
 
+/// The flags every harness binary accepts, and whether each takes a
+/// value: the input scale, the fast-forward opt-out, the JSON output
+/// path ([`crate::json_out_from_args`]) and the measurement store path
+/// ([`store_path_from_args`]).
+const HARNESS_FLAGS: &[(&str, bool)] = &[
+    ("--test-scale", false),
+    ("--no-fast-forward", false),
+    ("--json", true),
+    ("--store", true),
+];
+
+/// Checks `args` (without the program name) against
+/// [`HARNESS_FLAGS`] plus a binary's own `extras`, so a retired flag
+/// or a typo fails instead of being ignored: the error names the first
+/// argument that is not accepted, or a value flag given without its
+/// value.
+fn check_args(args: &[String], extras: &[(&str, bool)]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match HARNESS_FLAGS
+            .iter()
+            .chain(extras)
+            .find(|(flag, _)| flag == arg)
+        {
+            Some((_, true)) if rest.next().is_none() => {
+                return Err(format!("`{arg}` needs a PATH argument"))
+            }
+            Some(_) => {}
+            None => return Err(format!("unrecognised argument `{arg}`")),
+        }
+    }
+    Ok(())
+}
+
 /// Parses the common harness flags: `--test-scale` selects the small
 /// input set, otherwise the paper-scale inputs are used.
 ///
 /// Also honours `--no-fast-forward`, which disables the fabric's
 /// fast-forward engine for the whole process (every `System` built
-/// afterwards reads the `TIA_FAST_FORWARD` environment variable), and
-/// `--no-jit`, which likewise disables the compiled trigger engine
-/// (every PE built afterwards reads `TIA_JIT`), so each figure/table
-/// binary can be A/B-compared without code changes.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--no-fast-forward") {
+/// afterwards reads the `TIA_FAST_FORWARD` environment variable), so
+/// each figure/table binary can be A/B-compared without code changes.
+///
+/// Every argument is first checked against the shared harness flags
+/// (`--test-scale`, `--no-fast-forward`, `--json PATH`, `--store
+/// PATH`) plus the binary's own `extras`, each paired with whether it
+/// takes a value; on anything else the process exits with status 2,
+/// naming the argument on stderr, before any work is done.
+pub fn scale_from_args(extras: &[(&str, bool)]) -> Scale {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    if let Err(message) = check_args(&args, extras) {
+        let name = Path::new(&program).file_name().unwrap_or_default();
+        eprintln!("{}: {message}", name.to_string_lossy());
+        std::process::exit(2);
+    }
+    if args.iter().any(|a| a == "--no-fast-forward") {
         std::env::set_var("TIA_FAST_FORWARD", "0");
     }
-    if std::env::args().any(|a| a == "--no-jit") {
-        std::env::set_var("TIA_JIT", "0");
-    }
-    if std::env::args().any(|a| a == "--test-scale") {
+    if args.iter().any(|a| a == "--test-scale") {
         Scale::Test
     } else {
         Scale::Paper

@@ -122,31 +122,6 @@ impl Pending {
     }
 }
 
-/// A one-entry memo over the *whole* trigger scan: when the pipeline
-/// is empty, a stall outcome is a pure function of the predicate state
-/// and the queue epoch, so a repeat of both keys must repeat the same
-/// classified stall — no per-slot work at all. It serves idle
-/// stretches (the common case in memory-latency-bound sweeps); busy
-/// cycles evaluate the dispatch table's candidate slots afresh.
-#[derive(Debug, Clone, Copy)]
-struct ScanMemo {
-    valid: bool,
-    preds_bits: u32,
-    queue_epoch: u64,
-    class: CycleClass,
-}
-
-impl ScanMemo {
-    fn invalid() -> Self {
-        ScanMemo {
-            valid: false,
-            preds_bits: 0,
-            queue_epoch: 0,
-            class: CycleClass::NotTriggered,
-        }
-    }
-}
-
 /// A cycle-level triggered PE running one of the 32 microarchitecture
 /// variants.
 ///
@@ -204,21 +179,17 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     trace: Option<Vec<u16>>,
     pe_id: u16,
     tracer: T,
-    /// Generation counter over every queue-or-pipeline-visible state:
-    /// bumped after any cycle that had work in flight and whenever
-    /// queue traffic (internal or external) is detected, invalidating
-    /// the whole-scan memo.
-    queue_epoch: u64,
     /// Last observed sum of all queue modification counters, for
-    /// detecting fabric pushes/pops between cycles.
+    /// detecting fabric pushes/pops between empty-pipeline cycles.
     queue_fingerprint: u64,
     /// The stall class of the last step, recorded only when that step
     /// was a *pure* stall — no work in flight at its start and nothing
     /// issued — so the whole architectural state provably did not
     /// change during it. Together with an unchanged queue-version
-    /// fingerprint this proves the next step would repeat the same
-    /// stall, which is what the fast-forward engine
-    /// ([`ProcessingElement::next_event_cycle`]) keys on.
+    /// fingerprint this proves the next step repeats the same stall:
+    /// the trigger phase then returns the latched class without a
+    /// scan, and the fast-forward engine
+    /// ([`ProcessingElement::next_event_cycle`]) bulk-replays it.
     /// Non-architectural: never snapshotted, cleared on restore.
     last_stall: Option<CycleClass>,
     /// The program decoded once into the per-slot facts the trigger
@@ -227,13 +198,6 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     /// [`tia_jit`]). Shared like `program`; derived-only: rebuilt at
     /// construction, never snapshotted.
     compiled: Arc<CompiledProgram>,
-    /// Whether the dispatch table narrows the per-cycle scan and the
-    /// whole-scan memo is consulted (`TIA_JIT`, default on;
-    /// [`UarchPe::set_jit`]). Architecturally transparent either way;
-    /// debug builds cross-check both against a full scan.
-    jit_enabled: bool,
-    /// The whole-scan stall memo (see [`ScanMemo`]). Derived-only.
-    scan_memo: ScanMemo,
     /// The in-flight pressure, updated per pipeline event (see
     /// [`Pending`]). Derived-only.
     pending: Pending,
@@ -302,31 +266,11 @@ impl<T: Tracer> UarchPe<T> {
             params: params.clone(),
             config,
             program: Arc::new(program),
-            queue_epoch: 0,
             queue_fingerprint: 0,
             last_stall: None,
             compiled,
-            jit_enabled: tia_fabric::toggle_from_env("TIA_JIT"),
-            scan_memo: ScanMemo::invalid(),
             pending: Pending::default(),
         })
-    }
-
-    /// Enables (or disables) the predicate-state dispatch table and the
-    /// whole-scan stall memo (see [`tia_jit`]); the decoded per-slot
-    /// facts drive the scan either way. On by default (`TIA_JIT=0` in
-    /// the environment disables it at construction). Architecturally
-    /// transparent either way — counters, traces and snapshots are
-    /// bit-identical, and debug builds cross-check every narrowed scan
-    /// and memo hit against a full scan.
-    pub fn set_jit(&mut self, enable: bool) {
-        self.jit_enabled = enable;
-        self.scan_memo = ScanMemo::invalid();
-    }
-
-    /// Whether the compiled trigger engine is active.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_enabled
     }
 
     /// Sets the PE id stamped on every emitted trace event (defaults
@@ -436,15 +380,6 @@ impl<T: Tracer> UarchPe<T> {
         let class = self.trigger_phase();
         self.decode_phase();
         self.commit_phase();
-        // Any cycle with work in flight (pre-existing or just issued)
-        // may have moved queue/in-flight/speculation state in its
-        // decode and commit phases — and the register interlock is
-        // time-dependent while instructions are in flight — so a
-        // memoized stall from this cycle must not survive into the
-        // next.
-        if busy || class == CycleClass::Issued {
-            self.queue_epoch += 1;
-        }
         match class {
             CycleClass::Issued => {}
             CycleClass::PredicateHazard => self.counters.pred_hazard_cycles += 1,
@@ -454,8 +389,13 @@ impl<T: Tracer> UarchPe<T> {
         }
         // A pure stall (empty pipeline in, nothing issued) leaves every
         // architectural observable untouched: the next step repeats it
-        // unless fabric traffic lands on a queue first. Latch the class
-        // so the fast-forward engine can bulk-replay such cycles.
+        // unless fabric traffic lands on a queue first. Any cycle with
+        // work in flight (pre-existing or just issued) may have moved
+        // queue, in-flight or speculation state in its decode and
+        // commit phases — and the register interlock is time-dependent
+        // while instructions are in flight — so it latches nothing.
+        // The latch lets the next trigger phase skip its scan and the
+        // fast-forward engine bulk-replay such cycles.
         self.last_stall = if !busy && class != CycleClass::Issued {
             Some(class)
         } else {
@@ -1016,17 +956,15 @@ impl<T: Tracer> UarchPe<T> {
         SlotStatus::Eligible
     }
 
-    /// Detects queue traffic (from the fabric or any external driver)
-    /// since the last refresh and advances the queue epoch accordingly.
-    /// Only empty-pipeline cycles need it: a busy cycle bumps the
-    /// epoch at its end anyway, and the fast-forward latch
-    /// (`last_stall`) is set only after a cycle that refreshed.
-    fn refresh_queue_epoch(&mut self) {
+    /// Re-reads the queue-version fingerprint and reports whether any
+    /// queue was touched (by the fabric or any external driver) since
+    /// the last refresh. Only empty-pipeline cycles need it: the stall
+    /// latch (`last_stall`) is set only after a cycle that refreshed.
+    fn refresh_queue_fingerprint(&mut self) -> bool {
         let fingerprint = self.queue_version_sum();
-        if fingerprint != self.queue_fingerprint {
-            self.queue_fingerprint = fingerprint;
-            self.queue_epoch += 1;
-        }
+        let changed = fingerprint != self.queue_fingerprint;
+        self.queue_fingerprint = fingerprint;
+        changed
     }
 
     /// Stall-class priority rank (pred > forbidden > data).
@@ -1051,9 +989,7 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     /// Scans the slots in the bitmask `slots` in program order, issuing
-    /// the first eligible one; classifies the cycle otherwise. Both the
-    /// full scan and the dispatch-table candidate scan funnel through
-    /// here.
+    /// the first eligible one; classifies the cycle otherwise.
     fn scan_slots(&mut self, slots: u64) -> CycleClass {
         let mut best_rank = 0u8;
         for slot in slot_indices(slots) {
@@ -1068,9 +1004,9 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     /// Side-effect-free full scan over every slot, for debug
-    /// cross-checks of the dispatch table and the memos: the slot that
-    /// would issue (if any) and the best stall rank among the slots
-    /// before it.
+    /// cross-checks of the dispatch table and the latched stall: the
+    /// slot that would issue (if any) and the best stall rank among the
+    /// slots before it.
     #[cfg(debug_assertions)]
     fn debug_reference_scan(&self) -> (Option<usize>, u8) {
         let mut best_rank = 0u8;
@@ -1093,35 +1029,27 @@ impl<T: Tracer> UarchPe<T> {
         if self.config.predicate_prediction {
             self.try_early_confirmation();
         }
-        if self.in_flight.is_empty() {
-            self.refresh_queue_epoch();
-        }
+        let queues_untouched = self.in_flight.is_empty() && !self.refresh_queue_fingerprint();
         self.refresh_fresh_writes();
 
-        // Whole-scan stall memo: with an empty pipeline the scan is a
-        // pure function of (predicate state, queue epoch) — every busy
-        // or issuing cycle bumps the epoch, the fingerprint refresh
-        // above catches external traffic, and an empty pipeline pins
-        // the speculation stack (a writer stays in flight until its
-        // bit commits), so forbidden-instruction and interlock checks
-        // are deterministic too. A key match must repeat the stall.
-        if self.jit_enabled
-            && self.in_flight.is_empty()
-            && self.scan_memo.valid
-            && self.scan_memo.preds_bits == self.preds.bits()
-            && self.scan_memo.queue_epoch == self.queue_epoch
-        {
+        // Repeat stall: the last step was a pure stall (see
+        // `last_stall`) and no queue has been touched since. A pure
+        // stall changes neither the predicates nor the queues, and an
+        // empty pipeline pins the speculation stack (a writer stays in
+        // flight until its bit commits), so forbidden-instruction and
+        // interlock checks repeat too: this cycle is the same stall.
+        if let (true, Some(class)) = (queues_untouched, self.last_stall) {
             #[cfg(debug_assertions)]
             {
                 let (slot, rank) = self.debug_reference_scan();
-                debug_assert_eq!(slot, None, "memoized stall would now issue slot {slot:?}");
+                debug_assert_eq!(slot, None, "latched stall would now issue slot {slot:?}");
                 debug_assert_eq!(
                     Self::rank_class(rank),
-                    self.scan_memo.class,
-                    "memoized stall class diverges from a full re-scan"
+                    class,
+                    "latched stall class diverges from a full re-scan"
                 );
             }
-            return self.scan_memo.class;
+            return class;
         }
 
         // Dispatch-table candidate scan: skip slots whose predicate
@@ -1139,42 +1067,30 @@ impl<T: Tracer> UarchPe<T> {
         } else {
             self.pending.preds
         };
-        let slots = match (self.jit_enabled, free) {
-            (false, _) => self.compiled.valid_slots(),
-            (true, 0) => self.compiled.candidates(self.preds),
-            (true, free) => self.compiled.candidates_any(self.preds, free),
+        let slots = match free {
+            0 => self.compiled.candidates(self.preds),
+            free => self.compiled.candidates_any(self.preds, free),
         };
 
         #[cfg(debug_assertions)]
-        let reference = self.jit_enabled.then(|| self.debug_reference_scan());
+        let (slot, rank) = self.debug_reference_scan();
 
         let class = self.scan_slots(slots);
 
         #[cfg(debug_assertions)]
-        if let Some((slot, rank)) = reference {
-            if class == CycleClass::Issued {
-                debug_assert_eq!(
-                    slot,
-                    self.in_flight.last().map(|f| f.slot),
-                    "dispatch table issued a different slot than the full scan"
-                );
-            } else {
-                debug_assert_eq!(slot, None, "dispatch table missed an eligible slot");
-                debug_assert_eq!(
-                    Self::rank_class(rank),
-                    class,
-                    "dispatch table misclassified a stall"
-                );
-            }
-        }
-
-        if self.jit_enabled && class != CycleClass::Issued && self.in_flight.is_empty() {
-            self.scan_memo = ScanMemo {
-                valid: true,
-                preds_bits: self.preds.bits(),
-                queue_epoch: self.queue_epoch,
+        if class == CycleClass::Issued {
+            debug_assert_eq!(
+                slot,
+                self.in_flight.last().map(|f| f.slot),
+                "dispatch table issued a different slot than the full scan"
+            );
+        } else {
+            debug_assert_eq!(slot, None, "dispatch table missed an eligible slot");
+            debug_assert_eq!(
+                Self::rank_class(rank),
                 class,
-            };
+                "dispatch table misclassified a stall"
+            );
         }
         class
     }
@@ -1341,7 +1257,7 @@ impl<T: Tracer> UarchPe<T> {
     /// Restores a snapshot into this PE. The PE must have been built
     /// from the same parameters, configuration and program as the one
     /// that produced the snapshot; continuation is then bit-identical
-    /// to the original run (the whole-scan memo is reset — it is
+    /// to the original run (the stall latch is dropped — it is
     /// architecturally transparent).
     ///
     /// # Errors
@@ -1439,16 +1355,13 @@ impl<T: Tracer> UarchPe<T> {
         self.now = state.now;
         self.trace = state.trace.clone();
         self.pe_id = state.pe_id;
-        // Advance the epoch past any pre-snapshot memo and re-seed the
-        // fingerprint from the restored queue versions so
+        // Re-seed the fingerprint from the restored queue versions so
         // external-traffic detection stays exact.
-        self.queue_epoch += 1;
         self.queue_fingerprint = self.queue_version_sum();
         // The stall latch describes the pre-restore timeline; drop it
-        // so fast-forwarding re-proves inertness after a real step.
+        // so the trigger phase and fast-forwarding re-prove inertness
+        // after a real step.
         self.last_stall = None;
-        // So does the whole-scan stall memo.
-        self.scan_memo = ScanMemo::invalid();
         self.pending = self.recompute_pending();
         Ok(())
     }

@@ -1,23 +1,26 @@
-//! Property test: the compiled trigger engine (`tia-jit` — guard
-//! bitmasks, the predicate-state dispatch table, and the whole-scan
-//! stall memo) is architecturally invisible. Random programs run
-//! cycle-for-cycle on two copies of the same PE, one with `set_jit`
-//! on and one with it off, while external "fabric" traffic lands on
-//! the input queues and drains the output queues mid-run. For the
-//! functional [`FuncPe`] the off side is the interpreted guard match.
-//! For the cycle-level [`UarchPe`] both sides scan the same decoded
-//! `CompiledSlot` facts; the off side scans every valid slot every
-//! cycle, without the dispatch table or the memo. Every
-//! architectural observable, the retirement trace, and the final
-//! snapshot must stay identical.
+//! Property test: the trigger engine's shortcuts are architecturally
+//! invisible. Random programs run cycle-for-cycle while external
+//! "fabric" traffic lands on the input queues and drains the output
+//! queues mid-run.
 //!
-//! (With debug assertions on, the jit-on `UarchPe` additionally
-//! cross-checks every candidate scan — including the scans narrowed
-//! over every resolution of in-flight predicate writes — and every
-//! memo hit against a full scan of every slot, and both sides check
-//! their per-event in-flight pressure against a refold of the whole
-//! pipeline each trigger phase, so a divergence is caught at the exact
-//! offending cycle.)
+//! * [`UarchPe`]: two copies of the same PE. The reference copy
+//!   snapshots and restores itself before every step; `restore` drops
+//!   the stall latch, so that copy never takes the repeat-stall
+//!   shortcut and scans the dispatch table's candidates every cycle.
+//!   Every architectural observable, the retirement trace, and the
+//!   final snapshot bytes must match the copy that runs undisturbed.
+//! * [`FuncPe`]: before every step, the interpreted guard match
+//!   ([`FuncPe::triggered_slot`]) must name the slot the compiled scan
+//!   then fires. A second copy restored before every step (dropping
+//!   the idle latch) must stay identical as above.
+//!
+//! (With debug assertions on, `UarchPe` additionally cross-checks
+//! every candidate scan — including the scans narrowed over every
+//! resolution of in-flight predicate writes — and every latched-stall
+//! return against a full scan of every slot, and checks its per-event
+//! in-flight pressure against a refold of the whole pipeline each
+//! trigger phase, so a divergence is caught at the exact offending
+//! cycle.)
 
 use proptest::prelude::*;
 use tia_asm::assemble;
@@ -144,10 +147,11 @@ fn configs_under_test() -> Vec<UarchConfig> {
     ]
 }
 
-/// Steps jit-on and jit-off [`UarchPe`] copies through the same
-/// cycle-by-cycle schedule of external queue traffic and compares
-/// every architectural observable, the retirement trace, and the
-/// final snapshot bytes.
+/// Steps an undisturbed [`UarchPe`] and a copy restored from its own
+/// snapshot before every step (so it never reuses a latched stall)
+/// through the same cycle-by-cycle schedule of external queue traffic
+/// and compares every architectural observable, the retirement trace,
+/// and the final snapshot bytes.
 fn run_uarch_differential(
     config: UarchConfig,
     source: &str,
@@ -158,12 +162,10 @@ fn run_uarch_differential(
         Ok(p) => p,
         Err(e) => return Err(TestCaseError::fail(format!("{e}\nprogram:\n{source}"))),
     };
-    let mut compiled = UarchPe::new(&params, config, program.clone()).expect("PE builds");
-    let mut interpreted = UarchPe::new(&params, config, program).expect("PE builds");
-    compiled.set_jit(true);
-    interpreted.set_jit(false);
-    compiled.record_trace(true);
-    interpreted.record_trace(true);
+    let mut engine = UarchPe::new(&params, config, program.clone()).expect("PE builds");
+    let mut reference = UarchPe::new(&params, config, program).expect("PE builds");
+    engine.record_trace(true);
+    reference.record_trace(true);
 
     let mut rng = Rng(traffic_seed);
     for cycle in 0..300u32 {
@@ -171,37 +173,39 @@ fn run_uarch_differential(
             let q = rng.below(4) as usize;
             let tag = Tag::new(rng.below(2) as u32, &params).expect("tag in range");
             let token = Token::new(tag, rng.below(100) as u32);
-            let a = compiled.input_queue_mut(q).push(token);
-            let b = interpreted.input_queue_mut(q).push(token);
+            let a = engine.input_queue_mut(q).push(token);
+            let b = reference.input_queue_mut(q).push(token);
             prop_assert_eq!(a, b, "push acceptance diverged at cycle {}", cycle);
         }
         if rng.chance(1, 4) {
             let q = rng.below(2) as usize;
-            let a = compiled.output_queue_mut(q).pop();
-            let b = interpreted.output_queue_mut(q).pop();
+            let a = engine.output_queue_mut(q).pop();
+            let b = reference.output_queue_mut(q).pop();
             prop_assert_eq!(a, b, "drained tokens diverged at cycle {}", cycle);
         }
 
-        compiled.step_cycle();
-        interpreted.step_cycle();
+        let state = reference.snapshot();
+        reference.restore(&state).expect("own snapshot restores");
+        engine.step_cycle();
+        reference.step_cycle();
 
         prop_assert_eq!(
-            compiled.counters(),
-            interpreted.counters(),
+            engine.counters(),
+            reference.counters(),
             "counters diverged at cycle {}\nprogram:\n{}",
             cycle,
             source
         );
         prop_assert_eq!(
-            compiled.predicates().bits(),
-            interpreted.predicates().bits(),
+            engine.predicates().bits(),
+            reference.predicates().bits(),
             "predicates diverged at cycle {}",
             cycle
         );
         for r in 0..4 {
             prop_assert_eq!(
-                compiled.reg(r),
-                interpreted.reg(r),
+                engine.reg(r),
+                reference.reg(r),
                 "r{} diverged at cycle {}",
                 r,
                 cycle
@@ -209,8 +213,8 @@ fn run_uarch_differential(
         }
         for q in 0..4 {
             prop_assert_eq!(
-                compiled.input_queue(q),
-                interpreted.input_queue(q),
+                engine.input_queue(q),
+                reference.input_queue(q),
                 "input queue {} diverged at cycle {}",
                 q,
                 cycle
@@ -218,50 +222,49 @@ fn run_uarch_differential(
         }
         for q in 0..2 {
             prop_assert_eq!(
-                compiled.output_queue(q),
-                interpreted.output_queue(q),
+                engine.output_queue(q),
+                reference.output_queue(q),
                 "output queue {} diverged at cycle {}",
                 q,
                 cycle
             );
         }
         prop_assert_eq!(
-            compiled.halted(),
-            interpreted.halted(),
+            engine.halted(),
+            reference.halted(),
             "halt diverged at cycle {}",
             cycle
         );
-        if compiled.halted() {
+        if engine.halted() {
             break;
         }
     }
 
     prop_assert_eq!(
-        compiled.trace(),
-        interpreted.trace(),
+        engine.trace(),
+        reference.trace(),
         "retirement traces diverged\nprogram:\n{}",
         source
     );
-    let a = serde_json::to_string(&compiled.snapshot()).expect("snapshot serializes");
-    let b = serde_json::to_string(&interpreted.snapshot()).expect("snapshot serializes");
+    let a = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
+    let b = serde_json::to_string(&reference.snapshot()).expect("snapshot serializes");
     prop_assert_eq!(a, b, "snapshots are not byte-identical");
     Ok(())
 }
 
-/// The same differential over the functional simulator's dispatch
-/// table and idle short-circuit.
+/// The functional simulator's compiled scan and idle short-circuit,
+/// checked against the interpreter before every step and against a
+/// copy restored before every step.
 fn run_func_differential(source: &str, traffic_seed: u64) -> Result<(), TestCaseError> {
     let params = Params::default();
     let program = match assemble(source, &params) {
         Ok(p) => p,
         Err(e) => return Err(TestCaseError::fail(format!("{e}\nprogram:\n{source}"))),
     };
-    let mut compiled = FuncPe::new(&params, program.clone()).expect("PE builds");
-    let mut interpreted = FuncPe::new(&params, program).expect("PE builds");
-    compiled.set_jit(true);
-    interpreted.set_jit(false);
-    compiled.record_trace(true);
-    interpreted.record_trace(true);
+    let mut engine = FuncPe::new(&params, program.clone()).expect("PE builds");
+    let mut reference = FuncPe::new(&params, program).expect("PE builds");
+    engine.record_trace(true);
+    reference.record_trace(true);
 
     let mut rng = Rng(traffic_seed);
     for cycle in 0..300u32 {
@@ -269,53 +272,62 @@ fn run_func_differential(source: &str, traffic_seed: u64) -> Result<(), TestCase
             let q = rng.below(4) as usize;
             let tag = Tag::new(rng.below(2) as u32, &params).expect("tag in range");
             let token = Token::new(tag, rng.below(100) as u32);
-            let a = compiled.input_queue_mut(q).push(token);
-            let b = interpreted.input_queue_mut(q).push(token);
+            let a = engine.input_queue_mut(q).push(token);
+            let b = reference.input_queue_mut(q).push(token);
             prop_assert_eq!(a, b, "push acceptance diverged at cycle {}", cycle);
         }
         if rng.chance(1, 4) {
             let q = rng.below(2) as usize;
-            let a = compiled.output_queue_mut(q).pop();
-            let b = interpreted.output_queue_mut(q).pop();
+            let a = engine.output_queue_mut(q).pop();
+            let b = reference.output_queue_mut(q).pop();
             prop_assert_eq!(a, b, "drained tokens diverged at cycle {}", cycle);
         }
 
-        let a = compiled.step_cycle();
-        let b = interpreted.step_cycle();
+        let expected = engine.triggered_slot();
+        let state = reference.snapshot();
+        reference.restore(&state).expect("own snapshot restores");
+        let a = engine.step_cycle();
+        let b = reference.step_cycle();
+        prop_assert_eq!(
+            a,
+            expected,
+            "compiled scan fired a different slot than the interpreter at cycle {}",
+            cycle
+        );
         prop_assert_eq!(a, b, "fired slots diverged at cycle {}", cycle);
 
         prop_assert_eq!(
-            compiled.counters(),
-            interpreted.counters(),
+            engine.counters(),
+            reference.counters(),
             "counters diverged at cycle {}\nprogram:\n{}",
             cycle,
             source
         );
         prop_assert_eq!(
-            compiled.predicates().bits(),
-            interpreted.predicates().bits(),
+            engine.predicates().bits(),
+            reference.predicates().bits(),
             "predicates diverged at cycle {}",
             cycle
         );
         prop_assert_eq!(
-            compiled.halted(),
-            interpreted.halted(),
+            engine.halted(),
+            reference.halted(),
             "halt diverged at cycle {}",
             cycle
         );
-        if compiled.halted() {
+        if engine.halted() {
             break;
         }
     }
 
     prop_assert_eq!(
-        compiled.trace(),
-        interpreted.trace(),
+        engine.trace(),
+        reference.trace(),
         "retirement traces diverged\nprogram:\n{}",
         source
     );
-    let a = serde_json::to_string(&compiled.snapshot()).expect("snapshot serializes");
-    let b = serde_json::to_string(&interpreted.snapshot()).expect("snapshot serializes");
+    let a = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
+    let b = serde_json::to_string(&reference.snapshot()).expect("snapshot serializes");
     prop_assert_eq!(a, b, "snapshots are not byte-identical");
     Ok(())
 }

@@ -271,8 +271,8 @@ pub struct FastForwardStats {
     pub suppressed_probes: u64,
 }
 
-/// Parses a boolean environment toggle such as `TIA_FAST_FORWARD` or
-/// `TIA_JIT`. Accepts `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no`
+/// Parses a boolean environment toggle such as `TIA_FAST_FORWARD`.
+/// Accepts `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no`
 /// (case-insensitive, whitespace-trimmed); anything else — including an
 /// empty string — is an error naming the variable and the offending
 /// value, never a silent default.
@@ -290,9 +290,8 @@ pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
 /// means on (the default), otherwise the value must parse via
 /// [`parse_toggle`] — a malformed or non-UTF-8 value panics naming the
 /// variable rather than being quietly treated as "on".
-/// `TIA_FAST_FORWARD` seeds every new [`System`] and `TIA_JIT` every
-/// new PE; CLI tools read the same variables to pick their own
-/// defaults so one knob controls both.
+/// `TIA_FAST_FORWARD` seeds every new [`System`]; CLI tools read the
+/// same variable to pick their own default so one knob controls both.
 pub fn toggle_from_env(name: &str) -> bool {
     match std::env::var(name) {
         Ok(v) => match parse_toggle(name, &v) {

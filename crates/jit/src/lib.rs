@@ -30,10 +30,9 @@
 //!
 //! The compiled form is *derived-only* state: simulators rebuild it
 //! from the program at construction and snapshots never contain it.
-//! The cycle-level PE reads its per-slot facts on every scan;
-//! `TIA_JIT=0` (read by `tia_fabric::toggle_from_env`) turns off only
-//! the dispatch table and the simulators' scan memos, which must be —
-//! and is differentially tested to be — bit-identical.
+//! Both simulators drive their per-cycle trigger scan from it alone;
+//! their interpreted and full-scan references survive only as debug
+//! cross-checks and differential tests.
 
 #![warn(missing_docs)]
 

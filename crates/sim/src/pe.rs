@@ -71,23 +71,21 @@ pub struct FuncPe<T: Tracer = NullTracer> {
     pe_id: u16,
     tracer: T,
     /// Whether the most recent [`FuncPe::step_cycle`] was an idle
-    /// cycle (no instruction triggered). Non-architectural scheduling
-    /// hint for the fast-forward engine; never snapshotted and
-    /// cleared on restore.
+    /// cycle (no instruction triggered). Non-architectural: the
+    /// trigger scan and the fast-forward engine skip re-proving an
+    /// idle cycle on it; never snapshotted, cleared on restore and by
+    /// [`FuncPe::set_predicates`].
     last_idle: bool,
     /// Sum of queue versions observed when `last_idle` was latched.
     /// An unchanged sum proves no external traffic has touched the
     /// queues since, so the trigger outcome cannot have changed.
-    queue_epoch: u64,
+    queue_fingerprint: u64,
     /// The program's guards compiled to flat masks and a
-    /// predicate-state dispatch table (see [`tia_jit`]). Derived-only:
-    /// rebuilt from the program at construction, never snapshotted.
+    /// predicate-state dispatch table (see [`tia_jit`]) — the per-cycle
+    /// trigger scan. Debug builds cross-check every scan against the
+    /// interpreted [`FuncPe::triggered_slot`]. Derived-only: rebuilt
+    /// from the program at construction, never snapshotted.
     compiled: CompiledProgram,
-    /// Whether the compiled trigger engine drives the per-cycle scan
-    /// (`TIA_JIT`, default on). Architecturally transparent either
-    /// way; debug builds cross-check every compiled scan against the
-    /// interpreted one.
-    jit_enabled: bool,
 }
 
 impl FuncPe {
@@ -131,23 +129,9 @@ impl<T: Tracer> FuncPe<T> {
             params: params.clone(),
             program: Arc::new(program),
             last_idle: false,
-            queue_epoch: 0,
+            queue_fingerprint: 0,
             compiled,
-            jit_enabled: tia_fabric::toggle_from_env("TIA_JIT"),
         })
-    }
-
-    /// Enables (or disables) the compiled trigger engine. On by
-    /// default (subject to `TIA_JIT`); disabling falls back to the
-    /// interpreted per-slot scan — bit-identical by construction,
-    /// useful for A/B benchmarking and differential tests.
-    pub fn set_jit(&mut self, enable: bool) {
-        self.jit_enabled = enable;
-    }
-
-    /// Whether the compiled trigger engine is active.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_enabled
     }
 
     /// Sets the PE id stamped on every emitted trace event (defaults
@@ -199,9 +183,11 @@ impl<T: Tracer> FuncPe<T> {
         self.preds
     }
 
-    /// Overwrites the predicate state (host preloading).
+    /// Overwrites the predicate state (host preloading). Drops the
+    /// idle latch: the new predicates may make a slot eligible.
     pub fn set_predicates(&mut self, preds: PredState) {
         self.preds = preds;
+        self.last_idle = false;
     }
 
     /// The PE-local scratchpad contents.
@@ -306,7 +292,9 @@ impl<T: Tracer> FuncPe<T> {
     }
 
     /// The highest-priority eligible instruction slot this cycle, if
-    /// any (the priority encoder of Figure 2).
+    /// any (the priority encoder of Figure 2). The interpreted
+    /// reference: [`FuncPe::step_cycle`] decides the same thing through
+    /// the compiled guards.
     pub fn triggered_slot(&self) -> Option<usize> {
         (0..self.program.len()).find(|&slot| self.eligible(slot))
     }
@@ -346,13 +334,9 @@ impl<T: Tracer> FuncPe<T> {
     /// quiescence short-circuit (the previous step idled and no queue
     /// has been touched since, so rescanning is provably futile), then
     /// the dispatch table narrows the scan to the slots whose
-    /// predicate pattern matches the current state. Falls back to the
-    /// interpreted scan when disabled.
+    /// predicate pattern matches the current state.
     fn triggered_slot_hot(&self) -> Option<usize> {
-        if !self.jit_enabled {
-            return self.triggered_slot();
-        }
-        if self.last_idle && self.queue_version_sum() == self.queue_epoch {
+        if self.is_quiescent() {
             debug_assert_eq!(
                 self.triggered_slot(),
                 None,
@@ -383,7 +367,7 @@ impl<T: Tracer> FuncPe<T> {
             // queue contents; an idle cycle changes neither, so the PE
             // stays idle until external traffic bumps a queue version.
             self.last_idle = true;
-            self.queue_epoch = self.queue_version_sum();
+            self.queue_fingerprint = self.queue_version_sum();
             if T::ENABLED {
                 // The functional model has no pipeline, so every idle
                 // cycle is a trigger-resolution failure.
@@ -539,7 +523,7 @@ impl<T: Tracer> FuncPe<T> {
     /// arrives: the previous step triggered nothing and no queue has
     /// been touched since.
     pub fn is_quiescent(&self) -> bool {
-        !self.halted && self.last_idle && self.queue_version_sum() == self.queue_epoch
+        !self.halted && self.last_idle && self.queue_version_sum() == self.queue_fingerprint
     }
 
     /// Advances `cycles` idle cycles at once, updating counters and
@@ -646,7 +630,7 @@ impl<T: Tracer> FuncPe<T> {
         // Scheduling hints are conservative, not architectural: drop
         // them so the restored PE re-derives idleness by stepping.
         self.last_idle = false;
-        self.queue_epoch = 0;
+        self.queue_fingerprint = 0;
         Ok(())
     }
 }
@@ -846,6 +830,17 @@ mod tests {
         assert_eq!(pe.step_cycle(), None, "halted PE does nothing");
         assert_eq!(pe.counters().retired, 2);
         assert_eq!(pe.counters().cycles, 2);
+    }
+
+    #[test]
+    fn set_predicates_drops_the_idle_latch() {
+        let mut pe = pe("when %p == XXXXXXX1: halt;");
+        assert_eq!(pe.step_cycle(), None, "p0 is clear: nothing fires");
+        assert!(pe.is_quiescent());
+        pe.set_predicates(PredState::from_bits(0b1));
+        assert!(!pe.is_quiescent(), "new predicates may enable a slot");
+        assert_eq!(pe.step_cycle(), Some(0));
+        assert!(pe.is_halted());
     }
 
     #[test]

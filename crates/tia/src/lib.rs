@@ -32,9 +32,7 @@
 //!   cross-PE critical-path analysis, and bottleneck labels.
 //! * [`jit`] — ahead-of-time trigger-program specialization: guard
 //!   bitmasks and a predicate-state dispatch table that both
-//!   simulators use for their per-cycle trigger scan (`TIA_JIT=0`,
-//!   read by [`fabric::toggle_from_env`], opts out; bit-identical
-//!   either way).
+//!   simulators use for their per-cycle trigger scan.
 //!
 //! # Examples
 //!
