@@ -2,13 +2,7 @@
 //! design-space exploration and writes the numbers to `BENCH_dse.json`
 //! (or the path given with `-o`), cross-checking that every parallel
 //! run returns results bit-identical to the serial sweep. Also
-//! A/B-times the fabric fast-forward engine (on vs off) over the same
-//! sweep and records simulated-cycle throughput plus the engine's
-//! effectiveness counters (cycles bulk-skipped, idle-horizon probe hit
-//! rate) for every configuration.
-//!
-//! Also reports per-worker scheduler utilization for every parallel
-//! run.
+//! reports per-worker scheduler utilization for every parallel run.
 //!
 //! Finally, A/B-times the content-addressed measurement store
 //! (`tia-store`) over the same sweep: a cold sweep that simulates and
@@ -17,20 +11,14 @@
 //!
 //! ```text
 //! cargo run --release -p tia-bench --bin dse_bench \
-//!     [--test-scale] [--assert-fast-forward] [--assert-store] \
-//!     [-o BENCH_dse.json]
+//!     [--test-scale] [--assert-store] [-o BENCH_dse.json]
 //! ```
 //!
-//! `--assert-fast-forward` turns the recorded comparison into a gate:
-//! the process exits nonzero unless the fast-forward sweep is
-//! bit-identical to the baseline and no more than 10% slower (CI runs
-//! this at test scale as a regression smoke test).
 //! `--assert-store` gates the measurement store: the warm sweep must
 //! simulate nothing, return bit-identical points, and not be slower
 //! than the cold sweep.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use tia_bench::{activity_of, open_store, run_uarch_workload, scale_from_args, scale_label};
@@ -53,36 +41,6 @@ struct ParallelRun {
     worker_utilization: Vec<f64>,
     /// The least-utilized worker (the balance limiter).
     min_utilization: f64,
-}
-
-/// Fast-forward effectiveness for one configuration's activity run:
-/// how many of its cycles were bulk-skipped and how often the
-/// idle-horizon probe paid off.
-#[derive(serde::Serialize)]
-struct ConfigFastForward {
-    config: String,
-    cycles: u64,
-    skipped_cycles: u64,
-    skipped_fraction: f64,
-    probes: u64,
-    probe_hits: u64,
-    probe_hit_rate: f64,
-}
-
-#[derive(serde::Serialize)]
-struct FastForwardRun {
-    enabled_seconds: f64,
-    disabled_seconds: f64,
-    speedup: f64,
-    enabled_cycles_per_second: f64,
-    disabled_cycles_per_second: f64,
-    bit_identical: bool,
-    /// Cycles bulk-skipped across the whole enabled sweep.
-    total_skipped_cycles: u64,
-    /// Probe hit rate across the whole enabled sweep.
-    probe_hit_rate: f64,
-    /// Per-configuration effectiveness, in sweep order.
-    per_config: Vec<ConfigFastForward>,
 }
 
 /// Cold-vs-warm timing of the content-addressed measurement store
@@ -112,21 +70,14 @@ struct Report {
     serial_seconds: f64,
     cycles_per_second: f64,
     parallel: Vec<ParallelRun>,
-    fast_forward: FastForwardRun,
     store: StoreRun,
     bit_identical: bool,
     note: String,
 }
 
 fn main() {
-    let scale = scale_from_args(&[
-        ("--assert-fast-forward", false),
-        ("--assert-store", false),
-        ("-o", true),
-        ("--output", true),
-    ]);
+    let scale = scale_from_args(&[("--assert-store", false), ("-o", true), ("--output", true)]);
     let args: Vec<String> = std::env::args().collect();
-    let assert_fast_forward = args.iter().any(|a| a == "--assert-fast-forward");
     let assert_store = args.iter().any(|a| a == "--assert-store");
     let output = args
         .iter()
@@ -141,22 +92,9 @@ fn main() {
     // so the report can state throughput in cycles/s, not just
     // sweeps/s.
     let sim_cycles = AtomicU64::new(0);
-    let ff_rows: Mutex<Vec<ConfigFastForward>> = Mutex::new(Vec::new());
     let source = |config: &UarchConfig| {
         let run = run_uarch_workload(WorkloadKind::Bst, *config, scale);
         sim_cycles.fetch_add(run.counters.cycles, Ordering::Relaxed);
-        ff_rows
-            .lock()
-            .expect("no poisoned rows")
-            .push(ConfigFastForward {
-                config: config.to_string(),
-                cycles: run.system_cycles,
-                skipped_cycles: run.ff.skipped_cycles,
-                skipped_fraction: run.ff.skipped_cycles as f64 / run.system_cycles.max(1) as f64,
-                probes: run.ff.probes,
-                probe_hits: run.ff.probe_hits,
-                probe_hit_rate: run.ff.probe_hits as f64 / run.ff.probes.max(1) as f64,
-            });
         activity_of(&run)
     };
 
@@ -197,51 +135,6 @@ fn main() {
             serial_seconds / seconds
         );
     }
-
-    // A/B the fast-forward engine over the serial sweep. `System`
-    // reads TIA_FAST_FORWARD at construction, so flipping the
-    // environment variable between sweeps retimes the same workloads
-    // under the other engine.
-    let prior = std::env::var("TIA_FAST_FORWARD").ok();
-    std::env::set_var("TIA_FAST_FORWARD", "1");
-    // Capture per-configuration effectiveness rows from exactly the
-    // enabled sweep (earlier sweeps also pushed rows; discard them).
-    ff_rows.lock().expect("no poisoned rows").clear();
-    let start = Instant::now();
-    let ff_on = explore(&mut measure);
-    let enabled_seconds = start.elapsed().as_secs_f64();
-    let per_config = std::mem::take(&mut *ff_rows.lock().expect("no poisoned rows"));
-    std::env::set_var("TIA_FAST_FORWARD", "0");
-    let start = Instant::now();
-    let ff_off = explore(&mut measure);
-    let disabled_seconds = start.elapsed().as_secs_f64();
-    match prior {
-        Some(value) => std::env::set_var("TIA_FAST_FORWARD", value),
-        None => std::env::remove_var("TIA_FAST_FORWARD"),
-    }
-    let total_skipped_cycles: u64 = per_config.iter().map(|r| r.skipped_cycles).sum();
-    let total_probes: u64 = per_config.iter().map(|r| r.probes).sum();
-    let total_hits: u64 = per_config.iter().map(|r| r.probe_hits).sum();
-    let fast_forward = FastForwardRun {
-        enabled_seconds,
-        disabled_seconds,
-        speedup: disabled_seconds / enabled_seconds,
-        enabled_cycles_per_second: simulated_cycles as f64 / enabled_seconds,
-        disabled_cycles_per_second: simulated_cycles as f64 / disabled_seconds,
-        bit_identical: ff_on == serial && ff_off == serial,
-        total_skipped_cycles,
-        probe_hit_rate: total_hits as f64 / total_probes.max(1) as f64,
-        per_config,
-    };
-    eprintln!(
-        "fast-forward on {enabled_seconds:.2}s vs off {disabled_seconds:.2}s \
-         ({:.2}x, bit_identical = {}, {} cycles skipped, probe hit rate {:.2})",
-        fast_forward.speedup,
-        fast_forward.bit_identical,
-        fast_forward.total_skipped_cycles,
-        fast_forward.probe_hit_rate
-    );
-    bit_identical &= fast_forward.bit_identical;
 
     // Cold vs warm A/B of the content-addressed measurement store
     // over the same serial sweep: the cold pass simulates and persists
@@ -286,7 +179,6 @@ fn main() {
         serial_seconds,
         cycles_per_second: simulated_cycles as f64 / serial_seconds,
         parallel,
-        fast_forward,
         store,
         bit_identical,
         note: "Every figure times the bst workload only, so \
@@ -299,11 +191,9 @@ fn main() {
                degenerate to serial throughput and the figures record \
                engine overhead, not scaling (worker_utilization shows \
                the scheduler's balance independently of core count). \
-               The fast_forward block A/B-times the quiescence-aware \
-               fast-forward engine and the store block the \
-               content-addressed measurement store (tia-store, cold \
-               fill vs fully warm lookups), over the identical serial \
-               sweep."
+               The store block A/B-times the content-addressed \
+               measurement store (tia-store, cold fill vs fully warm \
+               lookups) over the identical serial sweep."
             .to_string(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -315,24 +205,12 @@ fn main() {
     );
     assert!(
         report.bit_identical,
-        "parallel or fast-forward exploration diverged from serial"
+        "parallel or store-backed exploration diverged from serial"
     );
-    // Both timing gates carry a small absolute slack on top of the
-    // relative margin: at test scale a whole sweep takes tens of
-    // milliseconds, where scheduler jitter alone exceeds any
-    // percentage bound. The slack is negligible at paper scale, so
-    // the relative margin still governs real regressions.
+    // The timing gate carries a small absolute slack: at test scale a
+    // whole sweep takes tens of milliseconds, where scheduler jitter
+    // alone exceeds any bound. The slack is negligible at paper scale.
     const GATE_SLACK_SECONDS: f64 = 0.05;
-    if assert_fast_forward {
-        assert!(
-            report.fast_forward.enabled_seconds
-                <= report.fast_forward.disabled_seconds * 1.10 + GATE_SLACK_SECONDS,
-            "fast-forward run is more than 10% slower than the baseline \
-             ({:.3}s vs {:.3}s)",
-            report.fast_forward.enabled_seconds,
-            report.fast_forward.disabled_seconds,
-        );
-    }
     if assert_store {
         assert!(
             report.store.bit_identical,

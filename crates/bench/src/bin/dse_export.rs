@@ -17,8 +17,7 @@
 //!
 //! A stale file found at `PATH` (another schema version, or a
 //! pre-store JSON partial file) is moved aside and regenerated, never
-//! trusted. `--no-fast-forward` turns off the fabric's fast-forward
-//! engine for A/B runs. Any other argument is an error: the process
+//! trusted. Any other argument is an error: the process
 //! exits nonzero naming it instead of running a sweep it was not asked
 //! for (see [`tia_bench::scale_from_args`]).
 //!

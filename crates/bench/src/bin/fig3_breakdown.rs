@@ -3,7 +3,7 @@
 //! front-end / back-end accounting.
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, write_json, Table};
+use tia_bench::{checked_args, json_out_from_args, write_json, Table, JSON_FLAG};
 use tia_energy::area_power::{Component, TDX_AREA_UM2, TDX_POWER_MW};
 
 #[derive(Serialize)]
@@ -17,6 +17,7 @@ struct BreakdownPoint {
 }
 
 fn main() {
+    checked_args(&[JSON_FLAG]);
     let mut t = Table::new(&["component", "area %", "area µm²", "power %", "power mW"]);
     let mut points: Vec<BreakdownPoint> = Vec::new();
     for c in Component::ALL {

@@ -7,7 +7,9 @@
 //! depth.
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, run_uarch_workload, scale_from_args, write_json, Table};
+use tia_bench::{
+    json_out_from_args, run_uarch_workload, scale_from_args, write_json, Table, JSON_FLAG,
+};
 use tia_core::{Pipeline, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
@@ -20,7 +22,7 @@ struct PredictionPoint {
 }
 
 fn main() {
-    let scale = scale_from_args(&[]);
+    let scale = scale_from_args(&[JSON_FLAG]);
     let config = UarchConfig::with_pq(Pipeline::T_DX);
     let mut t = Table::new(&["workload", "pred. write freq.", "prediction accuracy"]);
     let mut points: Vec<PredictionPoint> = Vec::new();

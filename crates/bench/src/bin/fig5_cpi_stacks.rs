@@ -6,6 +6,7 @@
 use serde::Serialize;
 use tia_bench::{
     coarse_stack, json_out_from_args, run_uarch_workload, scale_from_args, write_json, Table,
+    JSON_FLAG,
 };
 use tia_core::{CpiStack, Pipeline, UarchConfig};
 use tia_prof::{Leaf, LeafShares};
@@ -24,7 +25,7 @@ struct StackPoint {
 }
 
 fn main() {
-    let scale = scale_from_args(&[]);
+    let scale = scale_from_args(&[JSON_FLAG]);
     let mut configs: Vec<UarchConfig> = Vec::new();
     for pipeline in Pipeline::ALL {
         if pipeline == Pipeline::TDX {

@@ -5,7 +5,9 @@
 //! by 20-25% in both energy and delay").
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, scale_from_args, suite_design_points, write_json, Table};
+use tia_bench::{
+    json_out_from_args, scale_from_args, suite_design_points, write_json, Table, JSON_FLAG,
+};
 use tia_energy::dse::DesignPoint;
 use tia_energy::pareto::{frontier_energy_improvement, pareto_frontier};
 
@@ -41,7 +43,7 @@ fn frontier_points(frontier: &[DesignPoint]) -> Vec<FrontierPoint> {
 }
 
 fn main() {
-    let scale = scale_from_args(&[]);
+    let scale = scale_from_args(&[JSON_FLAG]);
     let points = suite_design_points(scale);
 
     // The balanced region of Figure 7: delays up to 10 ns/instruction.

@@ -9,8 +9,13 @@ use std::path::Path;
 
 use serde::Serialize;
 
-/// Parses the common harness flag `--json FILE`: the path the binary
-/// should write its machine-readable data points to, if any.
+/// The `--json FILE` flag, for the `extras` of
+/// [`crate::scale_from_args`] / [`crate::checked_args`]: only binaries
+/// that write a JSON document accept it.
+pub const JSON_FLAG: (&str, bool) = ("--json", true);
+
+/// Parses `--json FILE`: the path the binary should write its
+/// machine-readable data points to, if any.
 pub fn json_out_from_args() -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -13,9 +13,9 @@ pub mod jsonout;
 pub mod measure;
 pub mod table;
 
-pub use jsonout::{json_out_from_args, write_json};
+pub use jsonout::{json_out_from_args, write_json, JSON_FLAG};
 pub use measure::{
-    activity_of, bst_activity_source, coarse_stack, open_store, run_uarch_workload,
+    activity_of, bst_activity_source, checked_args, coarse_stack, open_store, run_uarch_workload,
     scale_from_args, scale_label, store_path_from_args, suite_activity_source, suite_context,
     suite_design_points, sweep_through_store, MeasuredRun,
 };

@@ -24,7 +24,9 @@ pub struct MeasuredRun {
     /// Global system cycles of the run (≥ the worker's own cycles;
     /// the excess is the worker's halted tail).
     pub system_cycles: u64,
-    /// Fast-forward engine effectiveness over the run.
+    /// Always zero: the fast-forward engine is gone (see
+    /// [`FastForwardStats`]). Kept only until the repository benchmark
+    /// drops its `fabric.ff_*` metrics.
     pub ff: FastForwardStats,
 }
 
@@ -134,15 +136,9 @@ pub fn suite_activity_source(scale: Scale) -> impl Fn(&UarchConfig) -> CpiMeasur
 }
 
 /// The flags every harness binary accepts, and whether each takes a
-/// value: the input scale, the fast-forward opt-out, the JSON output
-/// path ([`crate::json_out_from_args`]) and the measurement store path
+/// value: the input scale and the measurement store path
 /// ([`store_path_from_args`]).
-const HARNESS_FLAGS: &[(&str, bool)] = &[
-    ("--test-scale", false),
-    ("--no-fast-forward", false),
-    ("--json", true),
-    ("--store", true),
-];
+const HARNESS_FLAGS: &[(&str, bool)] = &[("--test-scale", false), ("--store", true)];
 
 /// Checks `args` (without the program name) against
 /// [`HARNESS_FLAGS`] plus a binary's own `extras`, so a retired flag
@@ -167,20 +163,13 @@ fn check_args(args: &[String], extras: &[(&str, bool)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the common harness flags: `--test-scale` selects the small
-/// input set, otherwise the paper-scale inputs are used.
-///
-/// Also honours `--no-fast-forward`, which disables the fabric's
-/// fast-forward engine for the whole process (every `System` built
-/// afterwards reads the `TIA_FAST_FORWARD` environment variable), so
-/// each figure/table binary can be A/B-compared without code changes.
-///
-/// Every argument is first checked against the shared harness flags
-/// (`--test-scale`, `--no-fast-forward`, `--json PATH`, `--store
-/// PATH`) plus the binary's own `extras`, each paired with whether it
-/// takes a value; on anything else the process exits with status 2,
-/// naming the argument on stderr, before any work is done.
-pub fn scale_from_args(extras: &[(&str, bool)]) -> Scale {
+/// Checks the process arguments against the shared harness flags
+/// (`--test-scale`, `--store PATH`) plus the binary's own `extras`,
+/// each paired with whether it takes a value (binaries that write JSON
+/// pass [`crate::JSON_FLAG`]). On anything else the process exits with
+/// status 2, naming the argument on stderr, before any work is done.
+/// Returns the arguments without the program name.
+pub fn checked_args(extras: &[(&str, bool)]) -> Vec<String> {
     let mut args = std::env::args();
     let program = args.next().unwrap_or_default();
     let args: Vec<String> = args.collect();
@@ -189,10 +178,14 @@ pub fn scale_from_args(extras: &[(&str, bool)]) -> Scale {
         eprintln!("{}: {message}", name.to_string_lossy());
         std::process::exit(2);
     }
-    if args.iter().any(|a| a == "--no-fast-forward") {
-        std::env::set_var("TIA_FAST_FORWARD", "0");
-    }
-    if args.iter().any(|a| a == "--test-scale") {
+    args
+}
+
+/// Parses the common harness flags after [`checked_args`]:
+/// `--test-scale` selects the small input set, otherwise the
+/// paper-scale inputs are used.
+pub fn scale_from_args(extras: &[(&str, bool)]) -> Scale {
+    if checked_args(extras).iter().any(|a| a == "--test-scale") {
         Scale::Test
     } else {
         Scale::Paper
@@ -329,9 +322,6 @@ mod tests {
         let m = activity_of(&run);
         assert!((m.stack.total() - 1.0).abs() < 1e-9, "shares normalize");
         assert_eq!(m.bottleneck, m.stack.bottleneck());
-        // The fast-forward counters reflect the engine's default-on
-        // run: probes never undercount hits.
-        assert!(run.ff.probes >= run.ff.probe_hits);
     }
 
     #[test]

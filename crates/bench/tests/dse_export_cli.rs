@@ -10,11 +10,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Runs `bin` with `args`, asserting it fails before doing any work:
-/// nonzero exit, nothing on stdout, `flag` named on stderr.
+/// exit status 2, nothing on stdout, `flag` named on stderr.
 fn assert_rejected(bin: &str, args: &[&str], flag: &str) {
     let out = Command::new(bin).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "accepted {flag}:\n{stderr}");
+    assert_eq!(out.status.code(), Some(2), "accepted {flag}:\n{stderr}");
     assert!(stderr.contains(&format!("`{flag}`")), "unnamed:\n{stderr}");
     assert!(out.stdout.is_empty(), "no sweep ran");
 }
@@ -33,23 +33,28 @@ fn retired_partial_flag_is_rejected() {
 
 #[test]
 fn retired_no_jit_flag_is_rejected() {
-    let out = scratch("dse-export-no-jit.json");
-    let out_arg = out.to_str().expect("UTF-8 temp path");
-    assert_rejected(
-        env!("CARGO_BIN_EXE_dse_export"),
-        &["--test-scale", "--no-jit", "-o", out_arg],
-        "--no-jit",
-    );
-    assert!(!out.exists(), "no export was written");
+    // Each retired engine toggle fails `dse_export` and a figure
+    // binary without writing their output files.
+    for flag in ["--no-jit", "--no-fast-forward"] {
+        let name = flag.trim_start_matches('-');
+        let out = scratch(&format!("dse-export-{name}.json"));
+        let out_arg = out.to_str().expect("UTF-8 temp path");
+        assert_rejected(
+            env!("CARGO_BIN_EXE_dse_export"),
+            &["--test-scale", flag, "-o", out_arg],
+            flag,
+        );
+        assert!(!out.exists(), "no export was written");
 
-    let json = scratch("fig5-no-jit.json");
-    let json_arg = json.to_str().expect("UTF-8 temp path");
-    assert_rejected(
-        env!("CARGO_BIN_EXE_fig5_cpi_stacks"),
-        &["--test-scale", "--no-jit", "--json", json_arg],
-        "--no-jit",
-    );
-    assert!(!json.exists(), "no figure data was written");
+        let json = scratch(&format!("fig5-{name}.json"));
+        let json_arg = json.to_str().expect("UTF-8 temp path");
+        assert_rejected(
+            env!("CARGO_BIN_EXE_fig5_cpi_stacks"),
+            &["--test-scale", flag, "--json", json_arg],
+            flag,
+        );
+        assert!(!json.exists(), "no figure data was written");
+    }
 }
 
 #[test]
@@ -59,4 +64,25 @@ fn misspelled_scale_flag_is_rejected() {
         &["--test-scal"],
         "--test-scal",
     );
+}
+
+#[test]
+fn binaries_without_a_sweep_reject_unknown_flags() {
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig3_breakdown"),
+        &["--bogus"],
+        "--bogus",
+    );
+}
+
+#[test]
+fn json_is_rejected_where_no_json_is_written() {
+    let json = scratch("table3-json.json");
+    let json_arg = json.to_str().expect("UTF-8 temp path");
+    assert_rejected(
+        env!("CARGO_BIN_EXE_table3_workloads"),
+        &["--test-scale", "--json", json_arg],
+        "--json",
+    );
+    assert!(!json.exists(), "no JSON was written");
 }

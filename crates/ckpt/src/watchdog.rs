@@ -145,37 +145,9 @@ impl Watchdog {
         self.window
     }
 
-    /// Consecutive retirement-free cycles observed so far (including
-    /// any credited through [`Watchdog::note_skipped`]).
+    /// Consecutive retirement-free cycles observed so far.
     pub fn stalled_for(&self) -> u64 {
         self.stalled_for
-    }
-
-    /// How many retirement-free cycles may elapse *between* this
-    /// observation and the next without the watchdog missing its
-    /// firing cycle.
-    ///
-    /// The fast-forward engine clamps each skip to this headroom so
-    /// that the observation in which `stalled_for` first reaches the
-    /// window is a real, simulated step: the hang is then flagged at
-    /// exactly the cycle — with exactly the fields — the
-    /// cycle-by-cycle run would have produced.
-    pub fn quiet_headroom(&self) -> u64 {
-        if self.last_retired.is_none() {
-            return 0;
-        }
-        (self.window - 1).saturating_sub(self.stalled_for)
-    }
-
-    /// Credits `cycles` retirement-free cycles that were fast-forwarded
-    /// rather than observed one at a time. Callers must keep `cycles`
-    /// within [`Watchdog::quiet_headroom`].
-    pub fn note_skipped(&mut self, cycles: u64) {
-        debug_assert!(
-            self.stalled_for + cycles < self.window,
-            "skips must leave the firing cycle to a real observation"
-        );
-        self.stalled_for += cycles;
     }
 
     /// Observes one cycle of progress. Returns a [`Hang`] when the
@@ -266,22 +238,6 @@ pub fn run_guarded<P: ProcessingElement>(
         };
         if let Some(hang) = watchdog.observe(progress) {
             return GuardedOutcome::Hung(hang);
-        }
-        // Fast-forward through provably inert stretches, bounded by
-        // the watchdog's headroom so the firing cycle (if any) is
-        // still reached by a real step. Skipped cycles are credited to
-        // the stall counter as if each had been observed. A halted
-        // system is never skipped: the loop above must report the
-        // halt cycle exactly. The idle-horizon probe is only paid on
-        // cycles the watchdog already saw retire nothing
-        // (`stalled_for > 0`) — a retiring fabric is not inert.
-        if system.fast_forward() && !progress.halted && watchdog.stalled_for() > 0 {
-            let budget = max_cycles.saturating_sub(system.cycle());
-            let skip = system.idle_horizon(budget.min(watchdog.quiet_headroom()));
-            if skip > 0 {
-                system.skip_cycles(skip);
-                watchdog.note_skipped(skip);
-            }
         }
     }
 }

@@ -188,8 +188,7 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     /// change during it. Together with an unchanged queue-version
     /// fingerprint this proves the next step repeats the same stall:
     /// the trigger phase then returns the latched class without a
-    /// scan, and the fast-forward engine
-    /// ([`ProcessingElement::next_event_cycle`]) bulk-replays it.
+    /// scan.
     /// Non-architectural: never snapshotted, cleared on restore.
     last_stall: Option<CycleClass>,
     /// The program decoded once into the per-slot facts the trigger
@@ -394,8 +393,7 @@ impl<T: Tracer> UarchPe<T> {
         // queue, in-flight or speculation state in its decode and
         // commit phases — and the register interlock is time-dependent
         // while instructions are in flight — so it latches nothing.
-        // The latch lets the next trigger phase skip its scan and the
-        // fast-forward engine bulk-replay such cycles.
+        // The latch lets the next trigger phase skip its scan.
         self.last_stall = if !busy && class != CycleClass::Issued {
             Some(class)
         } else {
@@ -1166,42 +1164,6 @@ impl<T: Tracer> UarchPe<T> {
             .map(TaggedQueue::version)
             .fold(0u64, u64::wrapping_add)
     }
-
-    /// Bulk-applies `cycles` repeats of the latched stall cycle: local
-    /// clock, cycle counter, the stall-class counter and (when tracing)
-    /// one `Stall` event per skipped cycle — bit-identical to calling
-    /// [`UarchPe::step_cycle`] `cycles` times while provably inert.
-    fn skip_stall_cycles(&mut self, cycles: u64) {
-        let Some(class) = self.last_stall else {
-            debug_assert!(false, "fast-forward skip requested on an active PE");
-            return;
-        };
-        debug_assert!(!self.halted && self.in_flight.is_empty());
-        match class {
-            CycleClass::Issued => unreachable!("an issuing cycle is never latched as a stall"),
-            CycleClass::PredicateHazard => self.counters.pred_hazard_cycles += cycles,
-            CycleClass::Forbidden => self.counters.forbidden_cycles += cycles,
-            CycleClass::DataHazard => self.counters.data_hazard_cycles += cycles,
-            CycleClass::NotTriggered => self.counters.not_triggered_cycles += cycles,
-        }
-        self.counters.cycles += cycles;
-        if T::ENABLED {
-            let stall = match class {
-                CycleClass::Issued => unreachable!(),
-                CycleClass::PredicateHazard => StallClass::PredicateHazard,
-                CycleClass::Forbidden => StallClass::Forbidden,
-                CycleClass::DataHazard => StallClass::DataHazard,
-                CycleClass::NotTriggered => StallClass::NotTriggered,
-            };
-            for _ in 0..cycles {
-                self.now += 1;
-                self.tracer
-                    .emit(self.pe_id, self.now, EventKind::Stall { class: stall });
-            }
-        } else {
-            self.now += cycles;
-        }
-    }
 }
 
 impl<T: Tracer> UarchPe<T> {
@@ -1359,8 +1321,7 @@ impl<T: Tracer> UarchPe<T> {
         // external-traffic detection stays exact.
         self.queue_fingerprint = self.queue_version_sum();
         // The stall latch describes the pre-restore timeline; drop it
-        // so the trigger phase and fast-forwarding re-prove inertness
-        // after a real step.
+        // so the trigger phase re-proves the stall after a real step.
         self.last_stall = None;
         self.pending = self.recompute_pending();
         Ok(())
@@ -1472,29 +1433,6 @@ impl<T: Tracer> ProcessingElement for UarchPe<T> {
 
     fn retired_instructions(&self) -> u64 {
         self.counters.retired
-    }
-
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if self.halted {
-            // A halted PE's step is a no-op; only the (non-existent)
-            // possibility of un-halting could change that.
-            return None;
-        }
-        if self.last_stall.is_none() {
-            // Work in flight, or the last step did work: active now.
-            return Some(now);
-        }
-        // A latched pure stall repeats forever unless fabric traffic
-        // has landed on a queue since the stall was classified.
-        if self.queue_version_sum() == self.queue_fingerprint {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn skip_cycles(&mut self, cycles: u64) {
-        self.skip_stall_cycles(cycles);
     }
 }
 

@@ -144,39 +144,6 @@ impl ReadPort {
         self.addr_in.is_empty() && self.data_out.is_empty() && self.in_flight.is_empty()
     }
 
-    /// The earliest cycle at which this port's visible state can
-    /// change, given the system cycle counter `now` (which the port's
-    /// local clock tracks). `None` means only external input — a new
-    /// address token, or space appearing in `data_out` — can make the
-    /// port do work.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        debug_assert_eq!(self.now, now, "port clock tracks the system cycle");
-        // A buffered request can launch on the next step.
-        if !self.addr_in.is_empty() && self.in_flight.len() < self.data_out.capacity() {
-            return Some(now);
-        }
-        // The oldest in-flight load retires in the step where the local
-        // clock reaches `ready`, i.e. system cycle `ready - 1`.
-        match self.in_flight.front() {
-            Some(&(ready, _)) if !self.data_out.is_full() => Some(now.max(ready.saturating_sub(1))),
-            _ => None,
-        }
-    }
-
-    /// Bulk-advances the local clock across `cycles` inert cycles,
-    /// exactly as if [`ReadPort::step`] had run that many times with
-    /// nothing to retire or launch.
-    pub fn skip_cycles(&mut self, cycles: u64) {
-        debug_assert!(
-            match self.next_event_cycle(self.now) {
-                None => true,
-                Some(c) => c >= self.now + cycles,
-            },
-            "skipped cycles must lie strictly before the port's next event"
-        );
-        self.now += cycles;
-    }
-
     /// Number of loads currently in the latency pipe.
     pub fn in_flight_len(&self) -> usize {
         self.in_flight.len()

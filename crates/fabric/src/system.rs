@@ -55,44 +55,6 @@ pub trait ProcessingElement {
     fn retired_instructions(&self) -> u64 {
         0
     }
-
-    /// The earliest cycle at which this PE's architecturally visible
-    /// state *can* change, given the system cycle counter `now` (the
-    /// number of completed cycles; the next step simulates cycle
-    /// `now`).
-    ///
-    /// * `Some(c)` with `c <= now` — the PE may do work on the very
-    ///   next step; nothing can be skipped.
-    /// * `Some(c)` with `c > now` — the PE is provably inert until
-    ///   cycle `c`: every step before `c` would repeat the same
-    ///   stall/idle bookkeeping with no architectural change (queues,
-    ///   registers, predicates, halt state all frozen), provided no
-    ///   token lands on its queues in the meantime.
-    /// * `None` — only external input (a fabric transfer into one of
-    ///   its queues) can wake the PE.
-    ///
-    /// The default is conservatively `Some(now)` — always active — so
-    /// custom PE models are correct without opting in. Implementations
-    /// must pair any `> now`/`None` answer with a matching
-    /// [`ProcessingElement::skip_cycles`] that bulk-applies the skipped
-    /// cycles' bookkeeping bit-identically.
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
-    /// Bulk-applies `cycles` inert cycles' worth of per-cycle
-    /// bookkeeping (stall/idle counters, local clocks, stall trace
-    /// events) exactly as if [`ProcessingElement::step`] had been
-    /// called `cycles` times while the PE was inert.
-    ///
-    /// Only called by the fast-forward engine, and only for spans the
-    /// PE itself declared inert via
-    /// [`ProcessingElement::next_event_cycle`]. The default is a no-op,
-    /// matching the default always-active `next_event_cycle` (a PE that
-    /// never declares itself inert is never asked to skip).
-    fn skip_cycles(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
 }
 
 /// A component whose complete state can be captured as a serde
@@ -216,93 +178,23 @@ pub struct System<P> {
     /// moved over a PE channel endpoint. `None` (the default) costs one
     /// branch per transferred token.
     tracer: Option<RingTracer>,
-    /// Whether [`System::run_until`] may fast-forward across provably
-    /// inert spans (see [`System::idle_horizon`]). Defaults to the
-    /// `TIA_FAST_FORWARD` environment variable (off when set to `0`,
-    /// `false`, `off` or `no`; on otherwise).
-    fast_forward: bool,
-    /// Fast-forward effectiveness counters. Non-architectural: not
-    /// part of [`SystemState`], so snapshots stay bit-identical with
-    /// the engine on or off.
-    ff_stats: FastForwardStats,
-    /// Consecutive *unproductive* idle-horizon probes: misses, plus
-    /// hits whose yield was below [`PROBE_YIELD_FLOOR`] (a probe is a
-    /// full-fabric scan; skipping a couple of cycles does not pay for
-    /// one). Non-architectural (probe scheduling only).
-    probe_misses: u32,
-    /// Idle cycles left before the next probe is allowed: exponential
-    /// backoff (`2^min(misses, 6)`) after consecutive unproductive
-    /// probes, so a compute-dense run with scattered short stalls does
-    /// not pay a full-fabric scan on every one of them. Only a
-    /// high-yield hit (≥ [`PROBE_YIELD_FLOOR`] cycles) resets it —
-    /// deliberately *not* any retiring cycle, because compute
-    /// interleaved with short stalls would then re-arm an immediate
-    /// probe per stall episode. The cap bounds the cost: a genuinely
-    /// idle phase steps at most 64 extra cycles before the probe that
-    /// bulk-skips it. Forgoing a probe only trades a bulk skip for
-    /// identical stepped cycles — bit-identity holds.
-    probe_cooldown: u64,
 }
 
-/// Probe yield (bulk-skipped cycles) below which a hit still feeds the
-/// exponential probe backoff: the skip is taken (those cycles are
-/// free), but the *next* probe is delayed, because a full-fabric
-/// quiescence scan costs more than stepping a handful of inert cycles.
-const PROBE_YIELD_FLOOR: u64 = 16;
-
-/// Effectiveness counters for the quiescence-aware fast-forward
-/// engine: how often the idle-horizon probe ran, how often it found a
-/// skippable span, and how many cycles were bulk-skipped instead of
-/// stepped. Harness binaries (`dse_bench`) report these per
-/// configuration so the engine's observed speedup can be explained by
-/// data (a compute-dense sweep skips almost nothing; an idle-dominated
-/// run skips almost everything).
+/// Counters of the deleted quiescence-aware fast-forward engine.
+///
+/// Every counter is always zero: [`System`] now advances only by
+/// [`System::step`]. The type and [`System::fast_forward_stats`] exist
+/// only until the repository benchmark drops its `fabric.ff_*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FastForwardStats {
-    /// Idle-horizon probes performed.
+    /// Idle-horizon probes performed (always zero).
     pub probes: u64,
-    /// Probes that found a nonzero skippable span.
+    /// Probes that found a nonzero skippable span (always zero).
     pub probe_hits: u64,
-    /// Cycles advanced via [`System::skip_cycles`] rather than
-    /// [`System::step`].
+    /// Cycles bulk-skipped rather than stepped (always zero).
     pub skipped_cycles: u64,
-    /// Probes suppressed by the exponential unproductive-probe backoff
-    /// (idle cycles that would have probed without it).
+    /// Probes suppressed by the unproductive-probe backoff (always zero).
     pub suppressed_probes: u64,
-}
-
-/// Parses a boolean environment toggle such as `TIA_FAST_FORWARD`.
-/// Accepts `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no`
-/// (case-insensitive, whitespace-trimmed); anything else — including an
-/// empty string — is an error naming the variable and the offending
-/// value, never a silent default.
-pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!(
-            "invalid {name} value `{value}`: expected one of 1/true/on/yes or 0/false/off/no"
-        )),
-    }
-}
-
-/// Reads the engine toggle in the environment variable `name`: unset
-/// means on (the default), otherwise the value must parse via
-/// [`parse_toggle`] — a malformed or non-UTF-8 value panics naming the
-/// variable rather than being quietly treated as "on".
-/// `TIA_FAST_FORWARD` seeds every new [`System`]; CLI tools read the
-/// same variable to pick their own default so one knob controls both.
-pub fn toggle_from_env(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => match parse_toggle(name, &v) {
-            Ok(enabled) => enabled,
-            Err(message) => panic!("{message}"),
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid {name} value: not valid UTF-8")
-        }
-    }
 }
 
 impl<P: ProcessingElement> System<P> {
@@ -319,10 +211,6 @@ impl<P: ProcessingElement> System<P> {
             links: Vec::new(),
             cycle: 0,
             tracer: None,
-            fast_forward: toggle_from_env("TIA_FAST_FORWARD"),
-            ff_stats: FastForwardStats::default(),
-            probe_misses: 0,
-            probe_cooldown: 0,
         }
     }
 
@@ -449,22 +337,6 @@ impl<P: ProcessingElement> System<P> {
         self.cycle
     }
 
-    /// Whether [`System::run_until`] may fast-forward across provably
-    /// inert spans.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Enables or disables fast-forwarding (overriding the
-    /// `TIA_FAST_FORWARD` default). Fast-forwarding is exact — counters,
-    /// traces and checkpoints are bit-identical either way — so this
-    /// knob exists for differential testing and benchmarking.
-    pub fn set_fast_forward(&mut self, enable: bool) {
-        self.fast_forward = enable;
-        self.probe_misses = 0;
-        self.probe_cooldown = 0;
-    }
-
     /// Immutable access to a PE.
     ///
     /// # Panics
@@ -560,11 +432,11 @@ impl<P: ProcessingElement> System<P> {
         self.sinks.len()
     }
 
-    /// The fast-forward effectiveness counters accumulated so far (see
-    /// [`FastForwardStats`]). Non-architectural: excluded from
-    /// snapshots and never consulted by the engine itself.
+    /// Always [`FastForwardStats::default`]: the fast-forward engine is
+    /// gone and [`System`] keeps no counters for it. Kept only until the
+    /// repository benchmark drops its `fabric.ff_*` metrics.
     pub fn fast_forward_stats(&self) -> FastForwardStats {
-        self.ff_stats
+        FastForwardStats::default()
     }
 
     /// Whether every PE has halted.
@@ -683,175 +555,17 @@ impl<P: ProcessingElement> System<P> {
         }
     }
 
-    /// Whether any channel could move a token on the next step: a
-    /// producer endpoint holds a token and the consumer endpoint has
-    /// space. While this is false and every component is inert, the
-    /// whole system state is frozen.
-    fn any_link_ready(&mut self) -> bool {
-        (0..self.links.len()).any(|i| {
-            let link = self.links[i];
-            self.link_ready(link)
-        })
-    }
-
-    /// How many cycles (at most `limit`) the system can provably skip
-    /// from its current state without any architecturally visible
-    /// change: no channel can transfer, and every component reports —
-    /// via [`ProcessingElement::next_event_cycle`] and the
-    /// port/stream equivalents — that it cannot act before the horizon.
-    ///
-    /// Because nothing can act inside the horizon, the state at every
-    /// skipped cycle equals the current state (inductively: a cycle
-    /// changes state only through a component doing work or a link
-    /// transferring, and neither is possible), which is what makes
-    /// [`System::skip_cycles`] exact. Returns `0` whenever any
-    /// component may act on the next step.
-    ///
-    /// Each call counts as one probe in [`System::fast_forward_stats`]
-    /// (a hit when the returned horizon is nonzero).
-    pub fn idle_horizon(&mut self, limit: u64) -> u64 {
-        let horizon = self.idle_horizon_inner(limit);
-        self.ff_stats.probes += 1;
-        if horizon > 0 {
-            self.ff_stats.probe_hits += 1;
-        }
-        horizon
-    }
-
-    fn idle_horizon_inner(&mut self, limit: u64) -> u64 {
-        if limit == 0 || self.any_link_ready() {
-            return 0;
-        }
-        let now = self.cycle;
-        // The earliest cycle any component can act; u64::MAX when every
-        // component waits on external input (deadlock or quiescence).
-        let mut wake = u64::MAX;
-        for pe in &self.pes {
-            if pe.is_halted() {
-                continue;
-            }
-            match pe.next_event_cycle(now) {
-                Some(c) if c <= now => return 0,
-                Some(c) => wake = wake.min(c),
-                None => {}
-            }
-        }
-        for port in &self.read_ports {
-            match port.next_event_cycle(now) {
-                Some(c) if c <= now => return 0,
-                Some(c) => wake = wake.min(c),
-                None => {}
-            }
-        }
-        // Write ports commit one store per step whenever both operands
-        // are buffered; stream sources stage a token whenever one
-        // remains and the outbound queue has space; sinks drain any
-        // buffered input. None of them owns a clock, so each is either
-        // ready now or woken only by external input.
-        for port in &self.write_ports {
-            if !port.addr_in.is_empty() && !port.data_in.is_empty() {
-                return 0;
-            }
-        }
-        for port in &self.seq_write_ports {
-            if !port.data_in.is_empty() {
-                return 0;
-            }
-        }
-        for source in &self.sources {
-            if source.remaining() > 0 && !source.out.is_full() {
-                return 0;
-            }
-        }
-        for sink in &self.sinks {
-            if !sink.input.is_empty() {
-                return 0;
-            }
-        }
-        (wake - now).min(limit)
-    }
-
-    /// Jumps the system `cycles` cycles forward, bulk-applying each
-    /// component's per-cycle bookkeeping (stall/idle counters, local
-    /// clocks, per-cycle stall trace events) exactly as if
-    /// [`System::step`] had been called `cycles` times.
-    ///
-    /// Only exact for spans within [`System::idle_horizon`] — counters,
-    /// traces and snapshots then stay bit-identical to the
-    /// cycle-by-cycle run. Halted PEs are not asked to skip: their
-    /// `step` is already a no-op.
-    pub fn skip_cycles(&mut self, cycles: u64) {
-        for pe in &mut self.pes {
-            if !pe.is_halted() {
-                pe.skip_cycles(cycles);
-            }
-        }
-        for port in &mut self.read_ports {
-            port.skip_cycles(cycles);
-        }
-        self.cycle += cycles;
-        self.ff_stats.skipped_cycles += cycles;
-    }
-
     /// Runs until `condition` holds (checked after each cycle) or
     /// `max_cycles` elapse.
-    ///
-    /// With fast-forwarding enabled (see [`System::fast_forward`]),
-    /// provably inert spans are skipped in bulk via
-    /// [`System::skip_cycles`]; the run is bit-identical to the
-    /// cycle-by-cycle one as long as `condition` depends only on system
-    /// *state* (queues, counters, halt flags — all frozen across a
-    /// skipped span), not on the cycle number itself. Callers with
-    /// cycle-triggered conditions should disable fast-forwarding or
-    /// bound `max_cycles` instead.
     pub fn run_until<F>(&mut self, mut condition: F, max_cycles: u64) -> StopReason
     where
         F: FnMut(&System<P>) -> bool,
     {
         let end = self.cycle.saturating_add(max_cycles);
-        // The retirement total after the previous cycle, carried over so
-        // each stepped cycle folds over the PEs once. Skipped spans are
-        // inert, so they never change it.
-        let mut retired = self.fast_forward.then(|| self.total_retired());
         while self.cycle < end {
             self.step();
             if condition(self) {
                 return StopReason::Condition;
-            }
-            // Probing the idle horizon costs a scan over every link and
-            // component, so only pay for it after a cycle that retired
-            // nothing — a retiring fabric is self-evidently not inert,
-            // and skipping the probe there makes fast-forwarding free
-            // on compute-dense runs.
-            let Some(before) = retired else { continue };
-            let after = self.total_retired();
-            retired = Some(after);
-            if before == after {
-                // Exponential backoff after consecutive unproductive
-                // probes (see `probe_cooldown`): suppressed probes just
-                // step normally, which is bit-identical.
-                if self.probe_cooldown > 0 {
-                    self.probe_cooldown -= 1;
-                    self.ff_stats.suppressed_probes += 1;
-                    continue;
-                }
-                let skip = self.idle_horizon(end - self.cycle);
-                if skip >= PROBE_YIELD_FLOOR {
-                    // A high-yield probe earns eager probing.
-                    self.probe_misses = 0;
-                    self.probe_cooldown = 0;
-                } else {
-                    // A miss — or a hit that skipped less than a
-                    // full-fabric scan is worth — delays the next probe.
-                    self.probe_misses = self.probe_misses.saturating_add(1);
-                    self.probe_cooldown = 1u64 << self.probe_misses.min(6);
-                }
-                if skip > 0 {
-                    self.skip_cycles(skip);
-                    if condition(self) {
-                        return StopReason::Condition;
-                    }
-                }
             }
         }
         StopReason::CycleLimit
@@ -1020,26 +734,6 @@ impl fmt::Display for StopReason {
 mod tests {
     use super::*;
     use crate::queue::Token;
-
-    #[test]
-    fn toggle_accepts_the_documented_spellings() {
-        for on in ["1", "true", "on", "yes", "TRUE", " On ", "YES"] {
-            assert_eq!(parse_toggle("TIA_FAST_FORWARD", on), Ok(true), "{on}");
-        }
-        for off in ["0", "false", "off", "no", "FALSE", " Off ", "NO"] {
-            assert_eq!(parse_toggle("TIA_FAST_FORWARD", off), Ok(false), "{off}");
-        }
-    }
-
-    #[test]
-    fn toggle_rejects_empty_and_garbage_loudly() {
-        for bad in ["", " ", "2", "-1", "enabled", "tru", "offf", "０"] {
-            let err = parse_toggle("TIA_FAST_FORWARD", bad)
-                .expect_err("malformed toggles must not default silently");
-            assert!(err.contains("TIA_FAST_FORWARD"), "{bad:?}: {err}");
-            assert!(err.contains("expected one of"), "{bad:?}: {err}");
-        }
-    }
 
     /// A trivial PE that copies input 0 to output 0 each cycle.
     #[derive(Debug)]
@@ -1222,128 +916,9 @@ mod tests {
         assert_eq!(sys.memory().read(2), 22);
     }
 
-    /// A PE that does nothing until a programmed wake cycle, then
-    /// halts — and records how many cycles were bulk-skipped, so tests
-    /// can verify the fast-forward accounting contract.
-    #[derive(Debug)]
-    struct SleepyPe {
-        queue: TaggedQueue,
-        wake_at: Option<u64>,
-        stepped: u64,
-        skipped: u64,
-        halted: bool,
-    }
-
-    impl SleepyPe {
-        fn new(wake_at: Option<u64>) -> Self {
-            SleepyPe {
-                queue: TaggedQueue::new(2),
-                wake_at,
-                stepped: 0,
-                skipped: 0,
-                halted: false,
-            }
-        }
-    }
-
-    impl ProcessingElement for SleepyPe {
-        fn step(&mut self) {
-            self.stepped += 1;
-            if let Some(wake) = self.wake_at {
-                // `stepped` counts completed cycles, so after the step
-                // finishing cycle `wake` the PE has done its work.
-                if self.stepped > wake {
-                    self.halted = true;
-                }
-            }
-        }
-
-        fn input_queue_mut(&mut self, index: usize) -> &mut TaggedQueue {
-            assert_eq!(index, 0);
-            &mut self.queue
-        }
-
-        fn output_queue_mut(&mut self, index: usize) -> &mut TaggedQueue {
-            assert_eq!(index, 0);
-            &mut self.queue
-        }
-
-        fn is_halted(&self) -> bool {
-            self.halted
-        }
-
-        fn next_event_cycle(&self, now: u64) -> Option<u64> {
-            match self.wake_at {
-                None => None,
-                Some(wake) if wake > now => Some(wake),
-                Some(_) => Some(now),
-            }
-        }
-
-        fn skip_cycles(&mut self, cycles: u64) {
-            self.stepped += cycles;
-            self.skipped += cycles;
-        }
-    }
-
-    #[test]
-    fn fast_forward_jumps_an_inert_system_to_the_limit() {
-        let mut sys = System::new(Memory::new(0));
-        sys.add_pe(SleepyPe::new(None));
-        assert!(sys.fast_forward(), "fast-forward defaults on");
-        assert_eq!(sys.run(1_000_000), StopReason::CycleLimit);
-        assert_eq!(sys.cycle(), 1_000_000);
-        // One real step, then a single bulk skip to the limit.
-        assert_eq!(sys.pe(0).stepped, 1_000_000);
-        assert_eq!(sys.pe(0).skipped, 999_999);
-    }
-
-    #[test]
-    fn fast_forward_lands_exactly_on_the_wake_cycle() {
-        let mut sys = System::new(Memory::new(0));
-        sys.add_pe(SleepyPe::new(Some(500)));
-        assert_eq!(sys.run(1_000_000), StopReason::Condition);
-        // The PE halts on the step that completes cycle 501: cycles
-        // 2..=500 were skippable, 501 had to be simulated.
-        assert_eq!(sys.cycle(), 501);
-        assert_eq!(sys.pe(0).stepped, 501);
-        assert_eq!(sys.pe(0).skipped, 499);
-    }
-
-    #[test]
-    fn disabling_fast_forward_steps_every_cycle() {
-        let mut sys = System::new(Memory::new(0));
-        sys.add_pe(SleepyPe::new(Some(500)));
-        sys.set_fast_forward(false);
-        assert_eq!(sys.run(1_000_000), StopReason::Condition);
-        assert_eq!(sys.cycle(), 501);
-        assert_eq!(sys.pe(0).stepped, 501);
-        assert_eq!(sys.pe(0).skipped, 0);
-    }
-
-    #[test]
-    fn pending_link_transfers_inhibit_skipping() {
-        // An inert PE with a token parked in its output queue and a
-        // sink attached: the link can transfer, so the horizon is 0
-        // until the fabric drains it.
-        let mut sys = System::new(Memory::new(0));
-        let pe = sys.add_pe(SleepyPe::new(None));
-        let sink = sys.add_sink(StreamSink::new(2));
-        sys.connect(OutputRef::Pe { pe, queue: 0 }, InputRef::Sink { sink })
-            .unwrap();
-        assert!(sys.pe_mut(0).output_queue_mut(0).push(Token::data(9)));
-        assert_eq!(sys.idle_horizon(100), 0);
-        // One step moves the token over the link and the sink drains
-        // it in the same cycle (sinks run after link transfers).
-        sys.step();
-        assert_eq!(sys.sink(0).words(), vec![9]);
-        // Now truly inert.
-        assert_eq!(sys.idle_horizon(100), 100);
-    }
-
     #[test]
     fn in_flight_loads_bound_the_horizon() {
-        let mut sys: System<SleepyPe> = System::new(Memory::from_words(vec![7, 8, 9]));
+        let mut sys: System<CopyPe> = System::new(Memory::from_words(vec![7, 8, 9]));
         let rp = sys.add_read_port(ReadPort::new(2, 10));
         let sink = sys.add_sink(StreamSink::new(2));
         sys.connect(OutputRef::ReadData { port: rp }, InputRef::Sink { sink })
@@ -1354,34 +929,5 @@ mod tests {
         let reason = sys.run_until(|s| s.sink(0).collected().len() == 1, 100);
         assert_eq!(reason, StopReason::Condition);
         assert_eq!(sys.sink(0).words(), vec![9]);
-    }
-
-    #[test]
-    fn fast_forwarded_run_matches_the_stepped_run_exactly() {
-        // The memory round-trip pipeline, fast-forwarded vs stepped.
-        let build = || {
-            let mut sys: System<CopyPe> = System::new(Memory::from_words(vec![7, 8, 9]));
-            let rp = sys.add_read_port(ReadPort::new(2, 6));
-            let addrs: Vec<Token> = (0..3).map(Token::data).collect();
-            let src = sys.add_source(StreamSource::new(2, addrs));
-            let sink = sys.add_sink(StreamSink::new(2));
-            sys.connect(
-                OutputRef::Source { source: src },
-                InputRef::ReadAddr { port: rp },
-            )
-            .unwrap();
-            sys.connect(OutputRef::ReadData { port: rp }, InputRef::Sink { sink })
-                .unwrap();
-            sys
-        };
-        let mut fast = build();
-        fast.set_fast_forward(true);
-        let mut slow = build();
-        slow.set_fast_forward(false);
-        let reason_fast = fast.run_until(|s| s.sink(0).collected().len() == 3, 1_000);
-        let reason_slow = slow.run_until(|s| s.sink(0).collected().len() == 3, 1_000);
-        assert_eq!(reason_fast, reason_slow);
-        assert_eq!(fast.cycle(), slow.cycle());
-        assert_eq!(fast.sink(0).words(), slow.sink(0).words());
     }
 }

@@ -8,8 +8,8 @@
 //!   `sum(stack) == cycles` invariant checked in debug builds.
 //! * [`profiler`] — [`PeProfiler`] (one stand-alone PE, the
 //!   `tia-funcsim` surface) and [`SystemProfiler`] (whole fabric),
-//!   plus [`profile_run`] which mirrors `System::run` — including the
-//!   fast-forward engine — under observation.
+//!   plus [`profile_run`] which mirrors `System::run` under
+//!   observation.
 //! * [`critical`] — [`CriticalPathReport`]: PEs ranked by busy share,
 //!   channels by backpressure evidence, read ports by traffic, and an
 //!   upstream token-dependency walk from the busiest PE.

@@ -15,8 +15,7 @@
 //! full output, to memory latency when a matched slot is starved by an
 //! input channel a busy read port feeds, and to idle otherwise. The
 //! split is exact when the PE's blocking state was constant over the
-//! span — which holds per-cycle (observing after every step) and
-//! across fast-forwarded spans (provably frozen by construction).
+//! span, which holds when observing after every step.
 //!
 //! [`observe`]: SystemProfiler::observe
 
@@ -333,12 +332,9 @@ impl SystemProfiler {
 }
 
 /// Runs `system` until every PE halts or `max_cycles` elapse — exactly
-/// like [`System::run`], including the fast-forward engine — while
-/// profiling every PE.
+/// like [`System::run`] — while profiling every PE.
 ///
-/// The profiler observes after every stepped cycle and after every
-/// bulk-skipped span (whose stall state is frozen by construction, so
-/// the coarser observation loses nothing). Because observation is
+/// The profiler observes after every cycle. Because observation is
 /// read-only, the run is bit-identical to an unprofiled
 /// `system.run(max_cycles)`.
 pub fn profile_run<P>(system: &mut System<P>, max_cycles: u64) -> (StopReason, SystemProfiler)
@@ -362,23 +358,10 @@ where
 {
     let end = system.cycle().saturating_add(max_cycles);
     while system.cycle() < end {
-        // Mirrors `System::run_until(all_halted)`: probe the idle
-        // horizon only after a cycle that retired nothing.
-        let retired_before = system.fast_forward().then(|| system.total_retired());
         system.step();
         profiler.observe(system);
         if system.all_halted() {
             return StopReason::Condition;
-        }
-        if retired_before == Some(system.total_retired()) {
-            let skip = system.idle_horizon(end - system.cycle());
-            if skip > 0 {
-                system.skip_cycles(skip);
-                profiler.observe(system);
-                if system.all_halted() {
-                    return StopReason::Condition;
-                }
-            }
         }
     }
     StopReason::CycleLimit

@@ -106,24 +106,6 @@ fn profiled_run_is_bit_identical_to_unprofiled() {
 }
 
 #[test]
-fn observation_spans_fast_forwarded_gaps() {
-    // With fast-forwarding on, profile_run observes only after steps
-    // and bulk skips, yet the invariant must still hold exactly.
-    let config = UarchConfig::base(Pipeline::T_DX);
-    let mut built = build(WorkloadKind::Gcd, config);
-    built.system.set_fast_forward(true);
-    let max = built.max_cycles;
-    let (_, profiler) = profile_run(&mut built.system, max);
-    let stats = built.system.fast_forward_stats();
-    for pe in 0..profiler.num_pes() {
-        assert_eq!(profiler.stack(pe).total(), profiler.observed_cycles());
-    }
-    // The probe counters are live regardless of whether spans were
-    // actually skipped.
-    assert!(stats.probes >= stats.probe_hits);
-}
-
-#[test]
 fn bottleneck_labels_are_plausible() {
     let mut built = build(
         WorkloadKind::Stream,

@@ -104,7 +104,6 @@ struct Options {
     checkpoint_out: Option<String>,
     resume: Option<String>,
     watchdog: Option<u64>,
-    fast_forward: bool,
 }
 
 /// Everything beyond the PE itself that the simulation loop carries:
@@ -166,7 +165,6 @@ fn parse_args() -> Result<Options, String> {
     let mut checkpoint_out = None;
     let mut resume = None;
     let mut watchdog = None;
-    let mut fast_forward = tia_fabric::toggle_from_env("TIA_FAST_FORWARD");
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--params" => {
@@ -238,7 +236,6 @@ fn parse_args() -> Result<Options, String> {
                 checkpoint_out = Some(args.next().ok_or("--checkpoint-out needs a file")?);
             }
             "--resume" => resume = Some(args.next().ok_or("--resume needs a file")?),
-            "--no-fast-forward" => fast_forward = false,
             "--watchdog" => {
                 let window: u64 = args
                     .next()
@@ -260,7 +257,7 @@ fn parse_args() -> Result<Options, String> {
                             [--cpi-window N] [--profile] [--profile-out FILE] \
                             [--checkpoint-every N] \
                             [--checkpoint-out FILE] [--resume FILE] \
-                            [--watchdog N] [--no-fast-forward] <program>"
+                            [--watchdog N] <program>"
                         .to_string(),
                 )
             }
@@ -333,7 +330,6 @@ fn parse_args() -> Result<Options, String> {
         checkpoint_out,
         resume,
         watchdog,
-        fast_forward,
     })
 }
 
@@ -524,49 +520,6 @@ fn simulate<T: Tracer>(
             }
         }
         cycle += 1;
-
-        // Fast-forward: when the PE is provably idle until external
-        // traffic arrives, bulk-account whole idle stretches instead
-        // of stepping them. Every iteration with an observable side
-        // effect stays a real step: stream-delivery boundaries (even a
-        // rejected push bumps the queue's `rejected` statistic, which
-        // snapshots record), checkpoint boundaries (the file must be
-        // written), and the watchdog's firing cycle (clamped to its
-        // quiet headroom, with skipped cycles credited via
-        // `note_skipped`). The result is bit-identical to the
-        // cycle-by-cycle run.
-        if opts.fast_forward && cycle < opts.max_cycles && pe.is_quiescent() {
-            let mut skip = opts.max_cycles - cycle;
-            for (_, tokens, next, period) in &streams {
-                if *next < tokens.len() {
-                    // Distance to the next delivery iteration (zero
-                    // when `cycle` itself delivers).
-                    skip = skip.min((*period - cycle % *period) % *period);
-                }
-            }
-            if let Some(every) = opts.checkpoint_every {
-                // The iteration whose completion lands on a checkpoint
-                // boundary must run for real to write the file.
-                let to_boundary = (every - (cycle + 1) % every) % every;
-                skip = skip.min(to_boundary);
-            }
-            if let Some(dog) = &watchdog {
-                skip = skip.min(dog.quiet_headroom());
-            }
-            if skip > 0 {
-                pe.skip_idle_cycles(skip);
-                if let Some(dog) = &mut watchdog {
-                    dog.note_skipped(skip);
-                }
-                cycle += skip;
-                // One observation covers the whole frozen span: the
-                // PE's trigger state cannot change while quiescent, so
-                // the per-cycle classification is exact.
-                if let Some(p) = &mut profiler {
-                    p.observe(&pe, cycle);
-                }
-            }
-        }
     }
     Ok((pe, outputs, profiler))
 }

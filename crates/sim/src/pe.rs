@@ -72,8 +72,8 @@ pub struct FuncPe<T: Tracer = NullTracer> {
     tracer: T,
     /// Whether the most recent [`FuncPe::step_cycle`] was an idle
     /// cycle (no instruction triggered). Non-architectural: the
-    /// trigger scan and the fast-forward engine skip re-proving an
-    /// idle cycle on it; never snapshotted, cleared on restore and by
+    /// trigger scan skips re-proving an idle cycle on it; never
+    /// snapshotted, cleared on restore and by
     /// [`FuncPe::set_predicates`].
     last_idle: bool,
     /// Sum of queue versions observed when `last_idle` was latched.
@@ -526,34 +526,6 @@ impl<T: Tracer> FuncPe<T> {
         !self.halted && self.last_idle && self.queue_version_sum() == self.queue_fingerprint
     }
 
-    /// Advances `cycles` idle cycles at once, updating counters and
-    /// the trace stream exactly as if [`FuncPe::step_cycle`] had been
-    /// called that many times. Callers must have established
-    /// quiescence first (see [`FuncPe::is_quiescent`]) and must not
-    /// have pushed or popped any queue in between.
-    pub fn skip_idle_cycles(&mut self, cycles: u64) {
-        debug_assert!(
-            self.is_quiescent(),
-            "skip_idle_cycles requires a quiescent PE"
-        );
-        if T::ENABLED {
-            for _ in 0..cycles {
-                self.counters.cycles += 1;
-                self.counters.idle += 1;
-                self.tracer.emit(
-                    self.pe_id,
-                    self.counters.cycles,
-                    EventKind::Stall {
-                        class: StallClass::NotTriggered,
-                    },
-                );
-            }
-        } else {
-            self.counters.cycles += cycles;
-            self.counters.idle += cycles;
-        }
-    }
-
     /// Captures the complete architectural state: registers,
     /// predicates, scratchpad, queues, the halt latch, the event
     /// counters and the retirement trace.
@@ -699,23 +671,6 @@ impl<T: Tracer> ProcessingElement for FuncPe<T> {
 
     fn retired_instructions(&self) -> u64 {
         self.counters.retired
-    }
-
-    fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if self.halted {
-            // Only external queue traffic (which re-checks via the
-            // version sum) could matter, and a halted PE ignores it.
-            return None;
-        }
-        if self.is_quiescent() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn skip_cycles(&mut self, cycles: u64) {
-        self.skip_idle_cycles(cycles);
     }
 }
 

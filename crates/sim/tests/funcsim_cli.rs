@@ -2,7 +2,8 @@
 //! the `--trace-out` / `--trace-format` / `--metrics-out` /
 //! `--cpi-window` flags must produce documents that parse back with
 //! `serde_json` and carry the expected event stream, and enabling
-//! tracing must not perturb the architectural results.
+//! tracing must not perturb the architectural results. Retired flags
+//! fail instead of being ignored.
 
 use std::fs;
 use std::path::PathBuf;
@@ -180,4 +181,24 @@ fn tracing_does_not_perturb_architectural_results() {
         String::from_utf8_lossy(&untraced.stdout),
         String::from_utf8_lossy(&traced.stdout)
     );
+}
+
+#[test]
+fn retired_no_fast_forward_flag_is_rejected() {
+    let dir = scratch("no_fast_forward");
+    let program = write_program(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_tia-funcsim"))
+        .args(["--no-fast-forward", program.to_str().unwrap()])
+        .output()
+        .expect("spawn tia-funcsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "accepted --no-fast-forward:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("unknown flag --no-fast-forward"),
+        "unnamed:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing was simulated");
 }

@@ -21,7 +21,7 @@ fn build_value(seed: u64, kind: u64, depth: u32) -> Value {
     };
     match (kind + depth as u64) % 7 {
         0 => Value::Null,
-        1 => Value::Bool(seed % 2 == 0),
+        1 => Value::Bool(seed.is_multiple_of(2)),
         2 => Value::UInt(seed),
         3 => Value::Int((seed as i64).wrapping_sub(i64::MAX / 2)),
         4 => Value::Float(f64::from_bits(seed).fract()),

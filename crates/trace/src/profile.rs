@@ -58,8 +58,7 @@ pub struct ProfCounters {
 /// (a matched slot blocked only by a full output), memory latency (a
 /// matched slot starved by an input channel a busy memory read port
 /// feeds), or genuine idleness. The insight describes the current
-/// cycle; observing every cycle (or after a provably frozen
-/// fast-forward span) makes the split exact.
+/// cycle; observing every cycle makes the split exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallInsight {
     /// Whether any valid slot's predicate pattern matches the current

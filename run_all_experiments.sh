@@ -108,9 +108,16 @@ launch() {
 names=()
 for bin in "${BINS[@]}"; do
     names+=("$bin")
+    # Only the binaries that write JSON accept --json.
+    json=""
+    case "$bin" in
+        fig3_breakdown | fig4_prediction | fig5_cpi_stacks | fig7_optimization_benefit)
+            json="--json results/$bin.json"
+            ;;
+    esac
     # shellcheck disable=SC2086
     launch "$bin" "results/$bin.txt" \
-        ./target/release/"$bin" $SCALE --json "results/$bin.json"
+        ./target/release/"$bin" $SCALE $json
 done
 
 names+=(dse_export dump_workload_asm)

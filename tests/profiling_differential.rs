@@ -16,9 +16,8 @@ use tia::prof::{profile_run, PeProfiler, ProfileSource};
 use tia::sim::FuncPe;
 use tia::workloads::{PeFactory, Scale, WorkloadKind, ALL_WORKLOADS};
 
-/// Cycle budget per differential run (as in the fast-forward
-/// differential: long enough to cross each workload's halt at test
-/// scale).
+/// Cycle budget per differential run: long enough to cross each
+/// workload's halt at test scale.
 const K: u64 = 1_500;
 
 fn snapshot_json<P: ProcessingElement + Snapshotable>(system: &System<P>) -> String {

@@ -81,23 +81,6 @@ fn watchdog_flags_the_seeded_two_pe_deadlock_within_its_window() {
 }
 
 #[test]
-fn watchdog_fires_identically_with_and_without_fast_forward() {
-    // The guarded loop fast-forwards through quiescent stretches,
-    // crediting skipped cycles to the watchdog (clamped to its quiet
-    // headroom). The flagged hang must be indistinguishable from the
-    // cycle-by-cycle run's: same variant, same cycle, same stall span.
-    let params = Params::default();
-    let run = |fast_forward: bool| {
-        let mut system = relay_deadlock_system(&params);
-        system.set_fast_forward(fast_forward);
-        let mut watchdog = Watchdog::new(64);
-        let outcome = run_guarded(&mut system, 100_000, &mut watchdog);
-        (outcome, system.cycle())
-    };
-    assert_eq!(run(true), run(false));
-}
-
-#[test]
 fn watchdog_stays_quiet_on_a_healthy_run_of_the_same_program() {
     // The same relay program with a halting producer: seed PE 0's
     // input directly, let the token circulate, and make sure steady
